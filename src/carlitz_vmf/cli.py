@@ -14,6 +14,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
+from . import __version__
 from . import serialize as ser
 from .context import Context
 from .errors import PrecisionError
@@ -94,6 +95,17 @@ def cache_dir_from(args) -> str:
     return os.path.join(os.path.expanduser("~"), ".cache", "carlitz-vmf")
 
 
+def _read_cached(path: str):
+    """The cached text at path, or None when it is missing or is not JSON."""
+    try:
+        with open(path) as fh:
+            text = fh.read()
+        json.loads(text)
+    except (OSError, ValueError):
+        return None
+    return text
+
+
 def cmd_compute(args) -> int:
     try:
         ctx = Context(q=args.q) if args.q else Context(p=args.p, e=args.e)
@@ -108,15 +120,14 @@ def cmd_compute(args) -> int:
               file=sys.stderr)
         return 2
     request = ser.canonical_dumps({
-        "schema": ser.SCHEMA, "field": {"p": ctx.p, "e": ctx.e},
-        "selector": selector, "trunc": N,
+        "schema": ser.SCHEMA, "version": __version__,
+        "field": {"p": ctx.p, "e": ctx.e}, "selector": selector, "trunc": N,
     })
     key = hashlib.sha256(request.encode()).hexdigest()
     cdir = cache_dir_from(args)
     cpath = os.path.join(cdir, key + ".json")
-    if os.path.exists(cpath) and not args.no_cache:
-        text = open(cpath).read()
-    else:
+    text = None if args.no_cache else _read_cached(cpath)
+    if text is None:
         try:
             kind, trunc, payload = compute_artifact(ctx, selector, N)
         except PrecisionError as exc:
@@ -141,8 +152,10 @@ def cmd_compute(args) -> int:
 
 
 def _run_one(item):
-    name, q, N = item
-    return name, run_suite(name, q) if N is None else run_suite(name, q, N)
+    """Run one suite; the options in kw go to the suites that take them."""
+    name, q, N, kw = item
+    kw = kw if name == "hecke-eigen" else {}
+    return name, run_suite(name, q, N, **kw)
 
 
 def cmd_verify(args) -> int:
@@ -164,20 +177,13 @@ def cmd_verify(args) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    jobs = []
-    for n in names:
-        jobs.append((n, ctx.q, args.trunc))
+    jobs = [(n, ctx.q, args.trunc, kw) for n in names]
     if args.jobs > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as ex:
             results = dict(ex.map(_run_one, jobs))
-        reports = [results[n] for n in names]
     else:
-        reports = []
-        for n in names:
-            if n == "hecke-eigen" and "primes" in kw:
-                reports.append(run_suite(n, ctx.q, args.trunc, **kw))
-            else:
-                reports.append(run_suite(n, ctx.q, args.trunc))
+        results = dict(map(_run_one, jobs))
+    reports = [results[n] for n in names]
     failed = False
     out = []
     for rep in reports:
@@ -201,11 +207,34 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+BENCH_GRID = {2: 128, 3: 81, 5: 50}
+
+
 def cmd_bench(args) -> int:
-    grid = [(2, 128), (3, 81), (5, 50)]
+    """Time E1, E1*E1 and T_theta E1 on the default (q, N) grid, or on the
+    one row that --q (or --p/--e) and --trunc select."""
+    if args.q or args.p:
+        try:
+            ctx = Context(q=args.q) if args.q else Context(p=args.p, e=args.e)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        grid = [(ctx, BENCH_GRID.get(ctx.q))]
+    else:
+        grid = [(Context(q), N) for q, N in BENCH_GRID.items()]
+    if args.trunc is not None:
+        grid = [(ctx, args.trunc) for ctx, _ in grid]
+    for ctx, N in grid:
+        if N is None:
+            print(f"error: q={ctx.q} is not in the default grid; give --trunc",
+                  file=sys.stderr)
+            return 2
+        if N < ctx.q + 2:
+            print(f"error: bench needs trunc >= q+2 = {ctx.q + 2}",
+                  file=sys.stderr)
+            return 2
     rows = []
-    for q, N in grid:
-        ctx = Context(q)
+    for ctx, N in grid:
         t0 = time.time()
         e1 = eis1(ctx, N)
         t_build = time.time() - t0
@@ -216,7 +245,7 @@ def cmd_bench(args) -> int:
         _ = hecke(ctx, (ctx.base_field.zero, ctx.base_field.one), e1)
         t_hecke = time.time() - t0
         coeffs = len(e1.h1.c) + len(e1.h3.c)
-        rows.append((q, N, t_build, t_mul, t_hecke, coeffs))
+        rows.append((ctx.q, N, t_build, t_mul, t_hecke, coeffs))
     print(f"{'q':>3} {'N':>5} {'build E1':>10} {'mult':>10} {'Hecke':>10} "
           f"{'coeffs':>7}")
     for q, N, tb, tm, th, nc in rows:
@@ -261,7 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--verbose", action="store_true")
     pv.set_defaults(fn=cmd_verify)
 
-    pb = sub.add_parser("bench", help="timing table over a (q, N) grid")
+    pb = sub.add_parser("bench", help="timing table over the default (q, N) "
+                        "grid, or the one row --q/--trunc select")
     common(pb)
     pb.set_defaults(fn=cmd_bench)
     return ap

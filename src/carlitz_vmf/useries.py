@@ -370,7 +370,12 @@ def u_scale(ctx: Context, a, prec: int) -> USeries:
 
 
 def scale_arg(f: USeries, a, prec: int | None = None) -> USeries:
-    """f(z) -> f(a z) on u-expansions, for monic a."""
+    """f(z) -> f(a z) on u-expansions, for monic a.
+
+    The result is known to ``target = min(Q * prec(f), prec)`` with
+    Q = q^(deg a).  Since S = u(a z) = u^Q + ..., the term u^n of f lands at
+    order >= Q n, so only the exponents n < ceil(target / Q) can reach the
+    kept part; f is cut there before the substitution."""
     ctx = f.ctx
     d = len(a) - 1
     if d == 0:
@@ -378,11 +383,11 @@ def scale_arg(f: USeries, a, prec: int | None = None) -> USeries:
     Q = ctx.q ** d
     if f.prec is None and prec is None:
         raise PrecisionError("scaling an exact series needs a target precision")
-    target = min(Q * f._p(), prec if prec is not None else math.inf)
+    target = int(min(Q * f._p(), prec if prec is not None else math.inf))
     lowest = min(f.val(), 0)
-    S = u_scale(ctx, a, int(target) + (1 - lowest) * Q)
-    out = f.substitute(S)
-    return out.truncate(int(target))
+    S = u_scale(ctx, a, target + (1 - lowest) * Q)
+    out = f.truncate(-(-target // Q)).substitute(S)
+    return out.truncate(target)
 
 
 def goss_series(ctx: Context, L, k: int, S: USeries) -> USeries:

@@ -250,7 +250,15 @@ def det_pair(H1: VMForm, H2: VMForm) -> ClassicalForm:
 
 
 def hecke(ctx: Context, p, H: VMForm) -> VMForm:
-    """The Hecke operator at the monic prime p on a regular form."""
+    """The Hecke operator at the monic prime p on a regular form.
+
+    The trace terms fix the precision of the image: h1 known to O(u^P1)
+    has a trace known to O(u^O1), O1 = ceil((P1 - 1) / q^deg p) + 1, and
+    likewise P3, O3 for h3.  The traces are taken first, and the scaled
+    components are computed only as far as the sums keep them: h3(p z) to
+    min(P3, O3); h1(p z) to O1 for the new h1 and to O3 + s for
+    r1 = chi_correction(p) * h1(p z), where s is the pole order of
+    chi_correction(p), but never past P1 + s, so r1 is never known past P1."""
     if not ctx.is_irreducible(p):
         raise NotIrreducibleError(f"{p} is not irreducible")
     if not H.regular:
@@ -266,8 +274,9 @@ def hecke(ctx: Context, p, H: VMForm) -> VMForm:
     P3 = H.h3._p()
     if P1 == math.inf or P3 == math.inf:
         raise PrecisionError("Hecke needs truncated input")
-    h1_hi = scale_arg(H.h1, p, int(P1) + q ** max(d - 1, 0))
-    new_h1 = h1_hi.truncate(int(P1)).scale(pk * chip) + trace_div(H.h1, p)
+    P1, P3 = int(P1), int(P3)
+    tr1 = trace_div(H.h1, p)
+    tr3 = trace_div(H.h3, p)
 
     # r0: traces of the shifted h1 against the torsion Goss polynomials
     r0 = USeries.zero(ctx)
@@ -289,10 +298,14 @@ def hecke(ctx: Context, p, H: VMForm) -> VMForm:
 
     # r1: the non-multiplicative part of chi at p z against the scaled h1
     cc = chi_correction(ctx, p)
+    s = -cc.val() if cc.c else 0
+    O1, O3 = tr1._p(), tr3._p()
+    h1_hi = scale_arg(H.h1, p, min(P1 + s, max(O1, O3 + s)))
+    new_h1 = h1_hi.truncate(P1).scale(pk * chip) + tr1
     r1 = -(cc * h1_hi).scale(pk)
 
-    new_h3 = (scale_arg(H.h3, p, int(P3)).scale(pk)
-              + trace_div(H.h3, p).scale(chip) + r0 + r1)
+    new_h3 = (scale_arg(H.h3, p, min(P3, O3)).scale(pk)
+              + tr3.scale(chip) + r0 + r1)
     out = VMForm(ctx, k, H.m, new_h1, new_h3, regular=False)
     if not out.is_regular_valued():
         raise CarlitzVMFError("Hecke image failed the regularity valuations")

@@ -142,3 +142,14 @@ class TestCriterion12:
         assert rep["ok"] is None
         assert rep["verdict"]
         print(f"       verdict: {rep['verdict']}")
+
+
+class TestLargerFieldsSmoke:
+    """Outside the battery: the core suites at their defaults over an
+    extension field (q = 4) and a larger prime field (q = 5)."""
+
+    @pytest.mark.parametrize("name", ["generators", "det", "hecke-eigen"])
+    @pytest.mark.parametrize("q", [4, 5])
+    def test_suite_passes(self, q, name):
+        rep = verify.run_suite(name, q)
+        assert rep["ok"], rep["first_discrepancy"]

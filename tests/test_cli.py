@@ -153,3 +153,60 @@ def test_verify_precision_error_still_exits_3(monkeypatch, capsys):
     code, _, err = run(["verify", "--q", "2", "--suite", "short"], capsys)
     assert code == 3
     assert "insufficient precision" in err
+
+
+def test_verify_jobs_passes_prime_through(monkeypatch, tmp_path, capsys):
+    for name in list(verify.SUITES):
+        if name not in ("det", "hecke-eigen"):
+            monkeypatch.delitem(verify.SUITES, name)
+    reports = []
+    for jobs in ("1", "2"):
+        rep = tmp_path / f"report-{jobs}.json"
+        code, _, _ = run(["verify", "--q", "3", "--suite", "all",
+                          "--prime", "theta+1", "--jobs", jobs,
+                          "--report", str(rep)], capsys)
+        assert code == 0
+        reports.append(json.loads(rep.read_text()))
+    serial, parallel = reports
+    assert [r["suite"] for r in parallel] == ["det", "hecke-eigen"]
+    assert parallel == serial
+    names = [c["name"] for c in parallel[1]["checks"]]
+    assert names and all("p=(1, 1)" in n for n in names)
+
+
+def test_compute_cache_key_includes_version(monkeypatch, tmp_path, capsys):
+    from carlitz_vmf import cli
+
+    cache = tmp_path / "cache"
+    args = ["compute", "--q", "3", "--trunc", "8", "--form", "g",
+            "--cache-dir", str(cache)]
+    assert run(args, capsys)[0] == 0
+    first = set(os.listdir(cache))
+    monkeypatch.setattr(cli, "__version__", "0.0.0-other")
+    assert run(args, capsys)[0] == 0
+    files = set(os.listdir(cache))
+    assert len(files) == 2 and first < files
+
+
+def test_compute_unreadable_cache_entry_is_a_miss(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    args = ["compute", "--q", "3", "--trunc", "8", "--form", "g",
+            "--cache-dir", str(cache)]
+    code, good, _ = run(args, capsys)
+    assert code == 0
+    (entry,) = cache.iterdir()
+    entry.write_text('{"schema": "carlitz-vmf/1", "payl')
+    code, out, _ = run(args, capsys)
+    assert code == 0
+    assert out == good
+    assert entry.read_text() + "\n" == good
+
+
+def test_bench_runs_the_selected_row(capsys):
+    code, out, _ = run(["bench", "--q", "3", "--trunc", "9"], capsys)
+    assert code == 0
+    header, *rows = out.strip().splitlines()
+    assert len(rows) == 1
+    assert rows[0].split()[:2] == ["3", "9"]
+    code, _, err = run(["bench", "--q", "3", "--trunc", "4"], capsys)
+    assert code == 2 and "q+2" in err

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -189,6 +190,45 @@ def test_scale_arg(ctx):
     assert hp.coeff(ctx.q) == ctx.gs_int(-1)
     with pytest.raises(PrecisionError):
         scale_arg(USeries.u(ctx), theta)  # exact input needs a target
+
+
+def _scale_arg_oracle(f, a, prec=None):
+    """f(a z) by substituting the whole of f, then truncating."""
+    ctx = f.ctx
+    Q = ctx.q ** (len(a) - 1)
+    target = int(min(Q * f._p(), math.inf if prec is None else prec))
+    big = target + (1 - min(f.val(), 0)) * Q
+    return f.substitute(u_scale(ctx, a, big)).truncate(target)
+
+
+def _rand_laurent(ctx, rng, lo, hi, prec):
+    c = {}
+    for _ in range(5):
+        num = Poly(ctx.ring, {(rng.randrange(2), rng.randrange(2)):
+                              ctx.ring.field.from_int(1 + rng.randrange(ctx.p - 1))})
+        c[rng.randrange(lo, hi)] = GradedScalar.from_rat(
+            RatFunc(num, ctx.ring.theta + ctx.ring.one))
+    return USeries(ctx, c, prec)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_scale_arg_matches_untruncated_substitution(ctx, d):
+    rng = random.Random(17 * ctx.q + d)
+    Q = ctx.q ** d
+    N = 8 if d == 1 else 5
+    monics = ctx.monics(d)
+    cases = []
+    for lo in (0, -2):
+        cases.append((_rand_laurent(ctx, rng, lo, N, N), None))
+        cases.append((_rand_laurent(ctx, rng, lo, N, N), N + Q // 2))
+        cases.append((_rand_laurent(ctx, rng, lo, N, None), Q * N // 2 + 1))
+    assert any(f.val() < 0 for f, _ in cases)
+    for f, prec in cases:
+        a = monics[rng.randrange(len(monics))]
+        got = scale_arg(f, a, prec)
+        want = _scale_arg_oracle(f, a, prec)
+        assert got.prec == want.prec
+        assert got.c == want.c
 
 
 def test_trace_div(ctx):

@@ -206,3 +206,20 @@ def test_eis_k_lambda_and_regularity(ctx):
     # the lowest exponent of the weight-k expansion is the valuation of
     # the k-th lattice polynomial, which exceeds 1 once k > q
     assert 1 <= ek.h1.val() <= k
+
+
+@pytest.mark.parametrize("q, N, p, precs", [
+    (2, 32, (0, 1), (17, 16)),
+    (2, 32, (1, 1), (17, 16)),
+    (2, 32, (1, 1, 1), (9, 9)),
+    (3, 27, (1, 0, 1), (4, 4)),
+], ids=["q2-theta", "q2-theta+1", "q2-theta2+theta+1", "q3-theta2+1"])
+def test_hecke_image_precision(q, N, p, precs):
+    """The trace terms fix the precision of T_p E1: ceil((N-1)/q^deg p)+1 in
+    h1, and possibly less in h3, whose r0 part traces h1 shifted down by up
+    to q^(deg p - 1)."""
+    ctx = shared_context(q)
+    e1 = eis1(ctx, N)
+    T = hecke(ctx, p, e1)
+    assert (T.h1.prec, T.h3.prec) == precs
+    assert T.first_difference(e1.scale(ctx.gs(ctx.apoly(p)))) is None
