@@ -72,9 +72,6 @@ class GossPoly:
     def degree(self):
         return max(self.coeffs, default=0)
 
-    def coeffs_scalar(self) -> dict:
-        return {e: GradedScalar.from_rat(c) for e, c in self.coeffs.items()}
-
     def __repr__(self):
         terms = [f"({c})*X^{e}" for e, c in sorted(self.coeffs.items())]
         return f"G_{self.k} = " + " + ".join(terms)
@@ -116,19 +113,6 @@ def goss_poly(ctx: Context, L: LatticeExp, k: int) -> GossPoly:
         raise ValueError("k must be positive")
     table = _goss_table(ctx, L, k)
     return GossPoly(k, {e + 1: c for e, c in table[k - 1].items()})
-
-
-def goss_for_torsion(ctx: Context, p, k: int) -> GossPoly:
-    return goss_poly(ctx, torsion_lattice(ctx, p), k)
-
-
-def d_seq(ctx: Context, j: int) -> GradedScalar:
-    return GradedScalar.from_poly(ctx.D(j))
-
-
-def carlitz_action(ctx: Context, a) -> tuple:
-    """Coefficients [a]_i of C_a(X) = sum [a]_i X^(q^i), as scalars."""
-    return tuple(GradedScalar.from_poly(c) for c in ctx.carlitz_coeffs(a))
 
 
 def carlitz_binomial(ctx: Context, i: int, a) -> GradedScalar:
@@ -201,10 +185,3 @@ def zeta_ratio(ctx: Context, m: int) -> GradedScalar:
         return inv[m]
 
     return GradedScalar.from_rat(ctx.memo(("zeta_ratio", m), build))
-
-
-def u_scale(ctx: Context, a, prec: int):
-    """u(a z) as a series in u; see `useries.u_scale`."""
-    from .useries import u_scale as _us
-
-    return _us(ctx, a, prec)

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import functools
 
-from .fields import GF, field_from_order
-from .polys import Poly, PolyRing, RatFunc
+from .fields import GF, PolyExtField, field_from_order
+from .polys import Poly, PolyRing, RatFunc, _univar_gcd
 from .scalars import GradedScalar
 
 
@@ -179,78 +179,24 @@ class Context:
         return self.memo(("Ca", a), build)
 
     def is_irreducible(self, a) -> bool:
-        """Rabin irreducibility test for a monic a over F_q."""
+        """Rabin's test for a monic a of degree n over F_q: a is irreducible
+        iff x^(q^n) = x mod a and gcd(x^(q^(n/r)) - x, a) = 1 for every
+        prime r | n.  The powers are taken in the ring F_q[x]/(a)."""
         base = self.base_field
         n = len(a) - 1
         if n < 1:
             return False
         if a[-1] != base.one:
             raise ValueError("element must be monic")
-
-        def pmod_mul(u, v):
-            prod = [base.zero] * (len(u) + len(v) - 1)
-            for i, x in enumerate(u):
-                if x == base.zero:
-                    continue
-                for j, y in enumerate(v):
-                    prod[i + j] = base.add(prod[i + j], base.mul(x, y))
-            # reduce mod a
-            for k in range(len(prod) - 1, n - 1, -1):
-                c = prod[k]
-                if c == base.zero:
-                    continue
-                for i in range(n):
-                    prod[k - n + i] = base.sub(prod[k - n + i], base.mul(c, a[i]))
-                prod[k] = base.zero
-            out = prod[:n]
-            while len(out) < n:
-                out.append(base.zero)
-            return out
-
-        def pmod_pow(u, m):
-            out = [base.one] + [base.zero] * (n - 1)
-            while m:
-                if m & 1:
-                    out = pmod_mul(out, u)
-                u = pmod_mul(u, u)
-                m >>= 1
-            return out
-
-        def gcd_with_a(u):
-            def deg(w):
-                for i in range(len(w) - 1, -1, -1):
-                    if w[i] != base.zero:
-                        return i
-                return -1
-
-            x, y = list(a), list(u)
-            while deg(y) >= 0:
-                dx, dy = deg(x), deg(y)
-                if dx < dy:
-                    x, y = y, x
-                    continue
-                c = base.mul(x[dx], base.inv(y[dy]))
-                for i in range(dy + 1):
-                    x[dx - dy + i] = base.sub(x[dx - dy + i], base.mul(c, y[i]))
-                if deg(x) < deg(y):
-                    x, y = y, x
-            return deg(x)
-
         if n == 1:
             return True
-        x = [base.zero, base.one] + [base.zero] * (n - 2)
-        xqn = pmod_pow(x, self.q ** n)
-        sub = list(xqn)
-        sub[1] = base.sub(sub[1], base.one)
-        if any(c != base.zero for c in sub):
+        R = PolyExtField(base, a)
+        x = R.gen()
+        if R.pow(x, self.q ** n) != x:
             return False
         for r in set(_prime_factors(n)):
-            xqm = pmod_pow(x, self.q ** (n // r))
-            sub = list(xqm)
-            sub[1] = base.sub(sub[1], base.one)
-            if all(c == base.zero for c in sub):
-                return False
-            if gcd_with_a(sub) > 0:
+            diff = R.sub(R.pow(x, self.q ** (n // r)), x)
+            if len(_univar_gcd(a, diff, base)) > 1:
                 return False
         return True
 

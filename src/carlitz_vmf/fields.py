@@ -91,9 +91,9 @@ class PrimeField:
         return [a]
 
     def from_digits(self, ds):
-        if len(ds) != 1:
-            raise ValueError("prime field element has one digit")
-        return ds[0] % self.p
+        if len(ds) != 1 or not 0 <= ds[0] < self.p:
+            raise ValueError(f"{ds} is not the digit of an element of {self}")
+        return ds[0]
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -109,9 +109,11 @@ class PolyExtField:
     """base[y]/(modulus), elements as little-endian tuples over base.
 
     ``modulus`` is a monic coefficient tuple of length degree+1 over the
-    base field.  Irreducibility is the caller's responsibility (checked
-    for the Conway table; user-supplied moduli come from an explicit
-    irreducibility test at the call site).
+    base field.  ``add``/``mul``/``pow`` are the ring operations of
+    base[y]/(modulus) and hold for any monic modulus; only ``inv`` (and a
+    negative ``pow``) needs the modulus irreducible.  That is the caller's
+    responsibility (checked for the Conway table; user-supplied moduli
+    come from an explicit irreducibility test at the call site).
     """
 
     def __init__(self, base, modulus, name="y"):
@@ -182,40 +184,8 @@ class PolyExtField:
     def inv(self, a):
         if a == self.zero:
             raise ZeroDivisionError("inverse of zero in extension field")
-        # extended Euclid on coefficient lists over the base field
-        b = self.base
-
-        def deg(u):
-            for i in range(len(u) - 1, -1, -1):
-                if u[i] != b.zero:
-                    return i
-            return -1
-
-        def scale(u, c):
-            return [b.mul(x, c) for x in u]
-
-        def sub_shift(u, v, c, k):
-            out = list(u)
-            for i, x in enumerate(v):
-                if x != b.zero:
-                    out[i + k] = b.sub(out[i + k], b.mul(c, x))
-            return out
-
-        r0, r1 = list(self.modulus), list(a) + [b.zero]
-        s0, s1 = [b.zero] * (self.deg + 1), [b.one] + [b.zero] * self.deg
-        while deg(r1) > 0:
-            d0, d1 = deg(r0), deg(r1)
-            if d0 < d1:
-                r0, r1, s0, s1 = r1, r0, s1, s0
-                continue
-            c = b.mul(r0[d0], b.inv(r1[d1]))
-            r0 = sub_shift(r0, r1, c, d0 - d1)
-            s0 = sub_shift(s0, s1, c, d0 - d1)
-            if deg(r0) < deg(r1):
-                r0, r1, s0, s1 = r1, r0, s1, s0
-        lead = r1[deg(r1)]
-        s1 = scale(s1, b.inv(lead))
-        return tuple(s1[: self.deg])
+        # Fermat: a^(order-1) = 1 in a field
+        return self.pow(a, self.order - 2)
 
     def pow(self, a, n):
         if n < 0:

@@ -96,22 +96,13 @@ def a_expansion(ctx: Context, coeff_fn, k: int, N: int) -> USeries:
     return out.truncate(N)
 
 
-def _cached_form(ctx, key, builder):
-    hit = ctx.cache.get(key)
-    if hit is not None:
-        return hit
-    val = builder()
-    ctx.cache[key] = val
-    return val
-
-
 def gen_E(ctx: Context, N: int) -> ClassicalForm:
     """False Eisenstein series of weight 2, type 1: sum a u(az)."""
     def build():
         s = a_expansion(ctx, lambda a: ctx.gs(ctx.apoly(a)), 1, N)
         return ClassicalForm(ctx, 2, 1, s)
 
-    return _cached_form(ctx, ("E", N), build)
+    return ctx.memo(("E", N), build)
 
 
 def gen_g(ctx: Context, N: int) -> ClassicalForm:
@@ -123,7 +114,7 @@ def gen_g(ctx: Context, N: int) -> ClassicalForm:
         series = USeries.one(ctx, N) - s.scale(ctx.gs(br))
         return ClassicalForm(ctx, q - 1, 0, series)
 
-    return _cached_form(ctx, ("g", N), build)
+    return ctx.memo(("g", N), build)
 
 
 def gen_Delta(ctx: Context, N: int) -> ClassicalForm:
@@ -139,7 +130,7 @@ def gen_Delta(ctx: Context, N: int) -> ClassicalForm:
         )
         return ClassicalForm(ctx, q * q - 1, 0, -s)
 
-    return _cached_form(ctx, ("Delta", N), build)
+    return ctx.memo(("Delta", N), build)
 
 
 def gen_fs(ctx: Context, s: int, N: int) -> ClassicalForm:
@@ -160,7 +151,7 @@ def gen_goss_eis(ctx: Context, m: int, N: int) -> ClassicalForm:
         series = USeries.const(ctx, -zr, N) - s
         return ClassicalForm(ctx, m, 0, series)
 
-    return _cached_form(ctx, ("goss_eis", m, N), build)
+    return ctx.memo(("goss_eis", m, N), build)
 
 
 def ramanujan_serre(ctx: Context, f: ClassicalForm) -> ClassicalForm:
@@ -187,7 +178,7 @@ def gen_h(ctx: Context, N: int) -> ClassicalForm:
         d = ramanujan_serre(ctx, g)
         return ClassicalForm(ctx, ctx.q + 1, 1, d.series.truncate(N))
 
-    return _cached_form(ctx, ("h", N), build)
+    return ctx.memo(("h", N), build)
 
 
 def gen_h_a_expansion(ctx: Context, N: int) -> ClassicalForm:
@@ -223,7 +214,7 @@ def para_eisenstein(ctx: Context, k: int, N: int) -> ClassicalForm:
         ).scale(ctx.gs_rat(RatFunc(ctx.ring.one, den)))
         return ClassicalForm(ctx, q ** k - 1, 0, series)
 
-    return _cached_form(ctx, ("para", k, N), build)
+    return ctx.memo(("para", k, N), build)
 
 
 # -- expression in the g, h monomial basis ---------------------------------

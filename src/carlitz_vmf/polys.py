@@ -10,8 +10,6 @@ equality is literal dictionary equality.
 
 from __future__ import annotations
 
-from .fields import GF, PrimeField, PolyExtField  # noqa: F401  (re-export)
-
 
 def _glex(key):
     i, j = key

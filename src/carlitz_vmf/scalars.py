@@ -237,17 +237,6 @@ def _theta_root(p: Poly, q: int) -> Poly:
     return Poly(p.ring, out)
 
 
-def scalar_arith(x: GradedScalar, y: GradedScalar | None, op: str) -> GradedScalar:
-    """Named-op surface over the operator methods."""
-    if op == "add":
-        return x + y
-    if op == "mul":
-        return x * y
-    if op == "inv-of-x":
-        return x.inv()
-    raise ValueError(f"unknown op {op!r}")
-
-
 def eval_theta_power(x: GradedScalar, j: int, ctx) -> GradedScalar:
     """Specialize t at theta^(q^j).
 

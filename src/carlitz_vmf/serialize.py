@@ -1,9 +1,10 @@
 """Canonical JSON for every artifact type.
 
 Numbers never appear as floats: field elements are little-endian base-p
-digit strings, polynomials are sorted (theta-exp, t-exp, digits) triples,
-graded scalars sorted (pi-exp, om-exp, num, den) records.  Files carry a
-schema tag and the field so readers can refuse mismatches.
+digit strings (comma-separated when p > 10), polynomials are sorted
+(theta-exp, t-exp, digits) triples, graded scalars sorted (pi-exp, om-exp,
+num, den) records.  Files carry a schema tag and the field so readers can
+refuse mismatches.
 """
 
 from __future__ import annotations
@@ -21,11 +22,14 @@ SCHEMA = "carlitz-vmf/1"
 
 
 def digits_str(field, x) -> str:
-    return "".join(str(d) for d in field.digits(x))
+    # a digit below p > 10 may take two decimal places, so separate them
+    return ("," if field.p > 10 else "").join(str(d) for d in field.digits(x))
 
 
 def elt_from_digits(field, s: str):
-    return field.from_digits([int(ch) for ch in s])
+    # no separator: one digit per character, unless elements have one digit
+    ds = s.split(",") if "," in s or field.e == 1 else s
+    return field.from_digits([int(d) for d in ds])
 
 
 def poly_to_json(p: Poly):

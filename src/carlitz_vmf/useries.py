@@ -317,33 +317,6 @@ class USeries:
         return USeries(rctx.spec_ctx, out, self.prec)
 
 
-# -- named operations ------------------------------------------------------------
-
-
-def series_arith(f: USeries, g, op: str) -> USeries:
-    if op == "add":
-        return f + g
-    if op == "mul":
-        return f * g
-    if op == "scalar-mul":
-        return f.scale(g)
-    if op == "div":
-        return f / g
-    raise ValueError(f"unknown op {op!r}")
-
-
-def tau_series(f: USeries) -> USeries:
-    return f.tau()
-
-
-def untau_series(f: USeries) -> USeries:
-    return f.untau()
-
-
-def dt_series(f: USeries, n: int) -> USeries:
-    return f.dt(n)
-
-
 def u_scale(ctx: Context, a, prec: int) -> USeries:
     """The series of u(a z): invert the Carlitz action on 1/u."""
     if not a or a[-1] != ctx.base_field.one:
@@ -518,10 +491,3 @@ def dz(f: USeries, n: int) -> USeries:
         out = out.truncate(f.prec + 1)
     pi_n = GradedScalar(ctx.ring, {(n, 0): ctx.gs_one().rational_part()})
     return out.scale(pi_n)
-
-
-def eval_series(f: USeries, point) -> USeries:
-    """Specialize t: point is ('theta_power', j) or a RootContext."""
-    if isinstance(point, tuple) and point and point[0] == "theta_power":
-        return f.eval_theta_power(point[1])
-    return f.eval_root(point)

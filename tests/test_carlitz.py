@@ -1,9 +1,9 @@
 import random
 
 import pytest
+import sympy
 
-from carlitz_vmf.carlitz import (b_poly, carlitz_action, carlitz_binomial,
-                                 carlitz_factorial, d_seq, goss_for_torsion,
+from carlitz_vmf.carlitz import (b_poly, carlitz_binomial, carlitz_factorial,
                                  goss_poly, period_lattice, torsion_lattice,
                                  zeta_ratio)
 from carlitz_vmf.errors import NotIrreducibleError
@@ -18,7 +18,7 @@ def theta_power(ctx, n):
 
 def test_d_sequence(ctx):
     q = ctx.q
-    assert d_seq(ctx, 0).is_one()
+    assert ctx.D(0).is_one()
     assert ctx.D(1) == theta_power(ctx, q) - ctx.ring.theta
     if q == 2:
         want = (theta_power(ctx, 4) - theta_power(ctx, 2)) * \
@@ -98,14 +98,14 @@ def test_goss_polynomials_small(ctx):
 
 def test_goss_for_torsion(ctx):
     p = (ctx.base_field.zero, ctx.base_field.one)
-    g1 = goss_for_torsion(ctx, p, 1)
+    g1 = goss_poly(ctx, torsion_lattice(ctx, p), 1)
     assert g1.coeffs == {1: RatFunc(ctx.ring.one, None)}
     for k in range(1, ctx.q + 2):
-        gk = goss_for_torsion(ctx, p, k)
+        gk = goss_poly(ctx, torsion_lattice(ctx, p), k)
         assert min(gk.coeffs) >= 1
     red = tuple([ctx.base_field.zero, ctx.base_field.zero, ctx.base_field.one])
     with pytest.raises(NotIrreducibleError):
-        goss_for_torsion(ctx, red, 1)
+        goss_poly(ctx, torsion_lattice(ctx, red), 1)
 
 
 def test_torsion_lattice_alpha0_is_one(ctx):
@@ -161,7 +161,10 @@ def test_monic_enumeration_order(ctx):
     assert m1 == tuple(sorted(m1))
 
 
-def test_irreducibility(ctx):
+@pytest.mark.parametrize("q,top", [(2, 8), (3, 5), (4, 4), (5, 3)],
+                         ids=["q2", "q3", "q4", "q5"])
+def test_irreducibility(q, top):
+    ctx = shared_context(q)
     assert ctx.is_irreducible((ctx.base_field.zero, ctx.base_field.one))
     # theta^2 factors
     assert not ctx.is_irreducible(
@@ -172,3 +175,8 @@ def test_irreducibility(ctx):
         # theta^2 + 1 = (theta+1)^2 over F_2
         assert not ctx.is_irreducible((ctx.base_field.one, ctx.base_field.zero,
                                        ctx.base_field.one))
+    # Gauss: (1/n) sum_{d | n} mu(d) q^(n/d) monic irreducibles of degree n
+    for n in range(1, top + 1):
+        count = sum(sympy.mobius(d) * q ** (n // d)
+                    for d in sympy.divisors(n)) // n
+        assert sum(map(ctx.is_irreducible, ctx.monics(n))) == count

@@ -1,5 +1,6 @@
 import pytest
 
+from carlitz_vmf.context import Context
 from carlitz_vmf.fields import GF, PolyExtField, field_from_order, is_prime
 
 
@@ -17,7 +18,7 @@ def test_p_power_frobenius_is_bijective(q):
     assert len(images) == q
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 16, 25, 27])
 def test_inverses(q):
     F = field_from_order(q)
     for x in F.elements():
@@ -54,13 +55,18 @@ def test_extension_of_extension():
     # y^2 + y + a is irreducible over F_4 (no roots)
     mod = (a, F4.one, F4.one)
     F16 = PolyExtField(F4, mod)
-    assert F16.order == 16
-    count = 0
-    for x in F16.elements():
-        if x != F16.zero:
-            assert F16.mul(x, F16.inv(x)) == F16.one
-        count += 1
-    assert count == 16
+    # F_64 = F_4[y]/(a cubic that the irreducibility test accepts)
+    ctx4 = Context(4)
+    cubic = next(c for c in ctx4.monics(3) if ctx4.is_irreducible(c))
+    F64 = PolyExtField(F4, cubic)
+    for F, order in ((F16, 16), (F64, 64)):
+        assert F.order == order
+        count = 0
+        for x in F.elements():
+            if x != F.zero:
+                assert F.mul(x, F.inv(x)) == F.one
+            count += 1
+        assert count == order
 
 
 def test_field_from_order_rejects_non_prime_powers():

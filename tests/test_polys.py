@@ -3,6 +3,7 @@ import random
 import pytest
 import sympy
 
+from carlitz_vmf.context import Context
 from carlitz_vmf.polys import Poly, PolyRing, RatFunc, poly_gcd
 from carlitz_vmf.fields import GF
 
@@ -30,6 +31,40 @@ def test_gcd_cancellation_bivariate():
     assert f == RatFunc(th + t, t + R.one)
     g = poly_gcd(common * (th + t), common * common)
     assert g == common.monic()
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_univariate_gcd(q):
+    """poly_gcd of theta-only polynomials: gcd(f g, f h) = monic(f) for
+    distinct monic irreducibles g, h of one degree; over F_p also sympy."""
+    ctx = Context(q)
+    F = ctx.base_field
+    rng = random.Random(q)
+    elems = list(F.elements())
+
+    def rand_coeffs(deg):
+        return [rng.choice(elems) for _ in range(deg)] + [
+            rng.choice([x for x in elems if x != F.zero])]
+
+    irreducible = [a for a in ctx.monics(3) if ctx.is_irreducible(a)]
+    for _ in range(6):
+        f = ctx.apoly(rand_coeffs(rng.randrange(1, 5)))
+        g, h = rng.sample(irreducible, 2)
+        assert poly_gcd(f * ctx.apoly(g), f * ctx.apoly(h)) == f.monic()
+    if F.e > 1:
+        return
+    x = sympy.Symbol("x")
+
+    def to_sympy(coeffs):
+        return sympy.Poly(list(reversed(coeffs)), x, modulus=q)
+
+    for _ in range(12):
+        c, u, v = (rand_coeffs(rng.randrange(0, 4)) for _ in range(3))
+        a = ctx.apoly(c) * ctx.apoly(u)
+        b = ctx.apoly(c) * ctx.apoly(v)
+        want = to_sympy(c).mul(to_sympy(u)).gcd(to_sympy(c).mul(to_sympy(v)))
+        want = [int(w) % q for w in reversed(want.all_coeffs())]
+        assert poly_gcd(a, b) == ctx.apoly(want)
 
 
 def test_exact_div_raises_on_inexact():

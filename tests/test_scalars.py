@@ -8,8 +8,7 @@ from carlitz_vmf.context import Context
 from carlitz_vmf.errors import (EvaluationPoleError, MixedGradeError,
                                 NotTauImageError)
 from carlitz_vmf.polys import Poly, RatFunc
-from carlitz_vmf.scalars import (GradedScalar, eval_root, eval_theta_power,
-                                 scalar_arith)
+from carlitz_vmf.scalars import GradedScalar, eval_root, eval_theta_power
 from conftest import shared_context
 
 
@@ -23,7 +22,7 @@ def test_grade_addition_under_product(ctx3):
     ctx = ctx3
     pi = GradedScalar.from_poly(ctx.ring.one, pi=1)
     om = GradedScalar.from_poly(ctx.ring.one, om=1)
-    prod = scalar_arith(pi, om, "mul")
+    prod = pi * om
     assert prod.single_grade()[0] == (1, 1)
 
 
@@ -31,7 +30,7 @@ def test_single_grade_inverse(ctx3):
     ctx = ctx3
     x = GradedScalar(ctx.ring,
                      {(0, 1): RatFunc(ctx.ring.t - ctx.ring.theta, None)})
-    y = scalar_arith(x, None, "inv-of-x")
+    y = x.inv()
     assert (x * y).is_one()
     assert y.single_grade()[0] == (0, -1)
 

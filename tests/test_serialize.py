@@ -4,6 +4,7 @@ import random
 import pytest
 
 from carlitz_vmf import serialize as ser
+from carlitz_vmf.fields import GF, PolyExtField
 from carlitz_vmf.polys import Poly, RatFunc
 from carlitz_vmf.scalars import GradedScalar
 from carlitz_vmf.useries import USeries
@@ -42,7 +43,9 @@ def test_series_round_trip(ctx):
     assert back.prec is None and back.eq_to_prec(exact)
 
 
-def test_vmform_round_trip_through_envelope(ctx):
+@pytest.mark.parametrize("q", [2, 3, 11], ids=lambda q: f"q{q}")
+def test_vmform_round_trip_through_envelope(q):
+    ctx = shared_context(q)
     e1 = eis1(ctx, 8)
     env = ser.envelope(ctx, "vmform", 8, ser.vmform_to_json(e1))
     text = ser.canonical_dumps(env)
@@ -60,16 +63,36 @@ def test_classical_round_trip(ctx):
     assert (back.weight, back.type_) == (g.weight, g.type_)
 
 
-def test_specialized_round_trip(ctx):
+@pytest.mark.parametrize("q", [2, 3, 11], ids=lambda q: f"q{q}")
+def test_specialized_round_trip(q):
     from carlitz_vmf.specialize import RootContext, eval_root_form
 
-    p = (ctx.base_field.zero, ctx.base_field.one)
+    ctx = shared_context(q)
+    # over F_11, a quadratic prime gives residue-field elements of two digits
+    d = 2 if ctx.p > 10 else 1
+    p = next(a for a in ctx.monics(d) if ctx.is_irreducible(a))
     rc = RootContext(ctx, p)
     F = eval_root_form(eis1(ctx, 8), rc)
     data = ser.specialized_to_json(F)
     back = ser.specialized_from_json(ctx, data)
     assert back.series.first_difference(F.series) is None
     assert back.character_exponent == F.character_exponent
+
+
+def test_digit_strings():
+    F11 = GF(11)
+    F121 = PolyExtField(F11, (1, 0, 1))
+    assert ser.digits_str(F11, 10) == "10"
+    assert ser.elt_from_digits(F11, "10") == 10
+    assert ser.digits_str(F121, (3, 10)) == "3,10"
+    assert ser.elt_from_digits(F121, "3,10") == (3, 10)
+    # without a separator, each character is one digit
+    assert ser.elt_from_digits(F121, "10") == (1, 0)
+    assert ser.digits_str(GF(3, 2), (2, 1)) == "21"
+    for field, s in ((GF(2), "2"), (F11, "11"), (F121, "3,11"),
+                     (GF(3, 2), "13")):
+        with pytest.raises(ValueError):
+            ser.elt_from_digits(field, s)
 
 
 def test_envelope_validation(ctx):
