@@ -207,7 +207,7 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-BENCH_GRID = {2: 128, 3: 81, 5: 50}
+BENCH_GRID = {2: 128, 3: 81, 4: 320, 5: 450}
 
 
 def cmd_bench(args) -> int:

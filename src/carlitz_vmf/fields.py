@@ -6,6 +6,16 @@ modulo a fixed monic polynomial.  F_{p^e} is always built on the Conway
 polynomial for (p, e), so element encodings are stable across runs and
 machines; extensions of F_q by a user-supplied irreducible (used for the
 residue fields F_q[y]/(P(y))) keep the supplied modulus.
+
+The Conway fields that ``GF(p, e)`` builds for e > 1 have at most 49
+elements, so ``GF`` tabulates them once: ``add``, ``sub`` and ``mul``
+over all pairs, ``neg`` and ``inv`` over all elements, each entry filled
+by the schoolbook operation it replaces.  Their operations are then one
+lookup in nested dicts keyed by the element tuples themselves, so
+encodings, hashing and element order are those of the untabulated field.
+Other extensions (residue fields, Rabin's quotient rings in
+``Context.is_irreducible``) stay on the schoolbook path, whose base-field
+operations are lookups when the base is a Conway field.
 """
 
 from __future__ import annotations
@@ -134,6 +144,21 @@ class PolyExtField:
         self.one = tuple([base.one] + [base.zero] * (self.deg - 1))
         # y^(deg+k) reduced, for k = 0..deg-2 (enough for products)
         self._red = self._reduction_table()
+        # operation tables, filled by _tabulate(); None means schoolbook
+        self._add = self._sub = self._mul = self._neg = self._inv = None
+
+    def _tabulate(self):
+        """Fill the operation tables from the schoolbook operations, so
+        each entry equals the value it replaces.  Only for a field small
+        enough to tabulate over all pairs."""
+        els = list(self.elements())
+        add = {a: {b: self.add(a, b) for b in els} for a in els}
+        sub = {a: {b: self.sub(a, b) for b in els} for a in els}
+        mul = {a: {b: self.mul(a, b) for b in els} for a in els}
+        neg = {a: self.neg(a) for a in els}
+        inv = {a: self.inv(a) for a in els if a != self.zero}
+        self._add, self._sub, self._mul, self._neg, self._inv = (
+            add, sub, mul, neg, inv)
 
     def _reduction_table(self):
         b, d = self.base, self.deg
@@ -154,15 +179,23 @@ class PolyExtField:
         return tuple([self.base.zero, self.base.one] + [self.base.zero] * (d - 2))
 
     def add(self, a, b):
+        if self._add is not None:
+            return self._add[a][b]
         return tuple(self.base.add(x, y) for x, y in zip(a, b))
 
     def sub(self, a, b):
+        if self._sub is not None:
+            return self._sub[a][b]
         return tuple(self.base.sub(x, y) for x, y in zip(a, b))
 
     def neg(self, a):
+        if self._neg is not None:
+            return self._neg[a]
         return tuple(self.base.neg(x) for x in a)
 
     def mul(self, a, b):
+        if self._mul is not None:
+            return self._mul[a][b]
         base, d = self.base, self.deg
         prod = [base.zero] * (2 * d - 1)
         for i, x in enumerate(a):
@@ -184,18 +217,22 @@ class PolyExtField:
     def inv(self, a):
         if a == self.zero:
             raise ZeroDivisionError("inverse of zero in extension field")
+        if self._inv is not None:
+            return self._inv[a]
         # Fermat: a^(order-1) = 1 in a field
         return self.pow(a, self.order - 2)
 
     def pow(self, a, n):
         if n < 0:
             return self.pow(self.inv(a), -n)
-        out, base = self.one, a
-        while n:
-            if n & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            n >>= 1
+        if n == 0:
+            return self.one
+        # left to right from the top bit: a^2 is one squaring
+        out = a
+        for bit in bin(n)[3:]:
+            out = self.mul(out, out)
+            if bit == "1":
+                out = self.mul(out, a)
         return out
 
     def frobenius(self, a, n: int = 1):
@@ -247,8 +284,9 @@ def GF(p: int, e: int = 1):
         return PrimeField(p)
     if (p, e) not in _CONWAY:
         raise ValueError(f"no Conway polynomial stored for ({p}, {e})")
-    base = PrimeField(p)
-    return PolyExtField(base, _CONWAY[(p, e)], name="x")
+    field = PolyExtField(PrimeField(p), _CONWAY[(p, e)], name="x")
+    field._tabulate()
+    return field
 
 
 def field_from_order(q: int):

@@ -157,11 +157,13 @@ class Poly:
                     else:
                         out.pop(k, None)
             return Poly(self.ring, out)
+        add, mul, zero, get = f.add, f.mul, f.zero, out.get
+        other_items = other.c.items()
         for (i1, j1), v1 in self.c.items():
-            for (i2, j2), v2 in other.c.items():
+            for (i2, j2), v2 in other_items:
                 k = (i1 + i2, j1 + j2)
-                s = f.add(out.get(k, f.zero), f.mul(v1, v2))
-                if s == f.zero:
+                s = add(get(k, zero), mul(v1, v2))
+                if s == zero:
                     out.pop(k, None)
                 else:
                     out[k] = s

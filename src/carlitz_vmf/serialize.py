@@ -29,7 +29,11 @@ def digits_str(field, x) -> str:
 def elt_from_digits(field, s: str):
     # no separator: one digit per character, unless elements have one digit
     ds = s.split(",") if "," in s or field.e == 1 else s
-    return field.from_digits([int(d) for d in ds])
+    digits = [int(d) for d in ds]
+    # only the writer's own form: no sign, space, "_" or leading zero
+    if any(str(n) != d for n, d in zip(digits, ds)):
+        raise ValueError(f"{s!r} is not a canonical digit string")
+    return field.from_digits(digits)
 
 
 def poly_to_json(p: Poly):

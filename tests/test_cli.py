@@ -5,7 +5,7 @@ import pytest
 
 from carlitz_vmf import serialize as ser
 from carlitz_vmf import verify
-from carlitz_vmf.cli import main, parse_prime
+from carlitz_vmf.cli import BENCH_GRID, main, parse_prime
 from carlitz_vmf.context import Context
 from carlitz_vmf.errors import EvaluationPoleError, PrecisionError
 from carlitz_vmf.forms import gen_g
@@ -210,3 +210,12 @@ def test_bench_runs_the_selected_row(capsys):
     assert rows[0].split()[:2] == ["3", "9"]
     code, _, err = run(["bench", "--q", "3", "--trunc", "4"], capsys)
     assert code == 2 and "q+2" in err
+
+
+def test_bench_runs_an_extension_field_row(capsys):
+    assert 4 in BENCH_GRID
+    code, out, _ = run(["bench", "--q", "4", "--trunc", "8"], capsys)
+    assert code == 0
+    header, *rows = out.strip().splitlines()
+    assert len(rows) == 1
+    assert rows[0].split()[:2] == ["4", "8"]

@@ -1,7 +1,9 @@
 import pytest
 
 from carlitz_vmf.context import Context
-from carlitz_vmf.fields import GF, PolyExtField, field_from_order, is_prime
+from carlitz_vmf.fields import (
+    _CONWAY, GF, PolyExtField, PrimeField, field_from_order, is_prime,
+)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
@@ -67,6 +69,67 @@ def test_extension_of_extension():
                 assert F.mul(x, F.inv(x)) == F.one
             count += 1
         assert count == order
+
+
+@pytest.mark.parametrize("p, e", sorted(k for k in _CONWAY if k[1] > 1))
+def test_tables_agree_with_schoolbook(p, e):
+    F = GF(p, e)
+    ref = PolyExtField(PrimeField(p), _CONWAY[(p, e)], name="x")
+    assert F._mul is not None and ref._mul is None
+    # Context compares coefficient fields, so the two must be one field
+    assert F == ref and hash(F) == hash(ref)
+    els = list(ref.elements())
+    assert list(F.elements()) == els
+    for a in els:
+        assert F.neg(a) == ref.neg(a)
+        if a == ref.zero:
+            with pytest.raises(ZeroDivisionError):
+                F.inv(a)
+        else:
+            assert F.inv(a) == ref.inv(a)
+        for b in els:
+            assert F.add(a, b) == ref.add(a, b)
+            assert F.sub(a, b) == ref.sub(a, b)
+            assert F.mul(a, b) == ref.mul(a, b)
+
+
+def _f16():
+    # F_16 = F_4[y]/(y^2 + y + x), an untabulated extension of a tabulated one
+    F4 = GF(2, 2)
+    return PolyExtField(F4, (F4.gen(), F4.one, F4.one))
+
+
+def test_pow_is_repeated_multiplication():
+    F = _f16()
+    for a in F.elements():
+        up = F.one
+        powers = [up]
+        for _ in range(2 * F.order):
+            up = F.mul(up, a)
+            powers.append(up)
+        for n, want in enumerate(powers):
+            assert F.pow(a, n) == want
+        if a == F.zero:
+            continue
+        down, ainv = F.one, F.inv(a)
+        for n in range(1, F.order + 1):
+            down = F.mul(down, ainv)
+            assert F.pow(a, -n) == down
+
+
+def test_square_is_one_multiplication(monkeypatch):
+    F = _f16()
+    calls = []
+    mul = F.mul
+
+    def counted(a, b):
+        calls.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(F, "mul", counted)
+    a = F.gen()
+    assert F.pow(a, 2) == mul(a, a)
+    assert len(calls) == 1
 
 
 def test_field_from_order_rejects_non_prime_powers():

@@ -4,6 +4,8 @@
 deleted function would otherwise turn its per-layer metric into a silent
 zero.  The tracer is installed in a fresh interpreter (no bytecode is
 written), so this process and the files under `perfbench/` stay as they are.
+The tracer counts field operations by wrapping the field classes' methods,
+so a table lookup in F_4 must still pass through them.
 """
 
 import json
@@ -33,7 +35,18 @@ for name in sorted(read):
         obj = getattr(obj, part, None)
     if obj is None:
         unresolved.append(name)
-print(json.dumps({"missing": tracer.missing, "unresolved": unresolved}))
+# the tabulated Conway fields must still be counted per operation
+F4 = pkg.fields.GF(2, 2)
+a, b = F4.gen(), F4.one
+tracer.on = True
+counts = []
+for op in ("mul", "add"):
+    before = tracer.calls["fields." + op]
+    getattr(F4, op)(a, b)
+    counts.append(tracer.calls["fields." + op] - before)
+tracer.on = False
+print(json.dumps({"missing": tracer.missing, "unresolved": unresolved,
+                  "gf4_mul_add_calls": counts}))
 """
 
 
@@ -46,3 +59,4 @@ def test_tracer_hooks_resolve():
     result = json.loads(out.stdout)
     assert result["missing"] == []
     assert result["unresolved"] == []
+    assert result["gf4_mul_add_calls"] == [1, 1]

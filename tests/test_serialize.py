@@ -95,6 +95,22 @@ def test_digit_strings():
             ser.elt_from_digits(field, s)
 
 
+def test_non_canonical_digits_are_refused():
+    F121 = PolyExtField(GF(11), (1, 0, 1))
+    for field in (GF(7), GF(11)):
+        for s in ("+3", " 3", "3 ", "03", "-0", "1_0", "00"):
+            with pytest.raises(ValueError):
+                ser.elt_from_digits(field, s)
+    assert ser.elt_from_digits(GF(11), "0") == 0
+    for s in ("3,+1", "3, 1", " 3,1", "03,1", "3,1_0", "3,-0", "3,"):
+        with pytest.raises(ValueError):
+            ser.elt_from_digits(F121, s)
+    # what the writer produces reads back unchanged
+    for field in (GF(7), GF(11), F121):
+        for x in field.elements():
+            assert ser.elt_from_digits(field, ser.digits_str(field, x)) == x
+
+
 def test_envelope_validation(ctx):
     e1 = eis1(ctx, 6)
     env = ser.envelope(ctx, "vmform", 6, ser.vmform_to_json(e1))
