@@ -6,9 +6,17 @@ order everywhere is graded lexicographic with theta > t, i.e. compare
 ``(i + j, i)``.  Rational functions are kept in the canonical form
 ``num/den`` with gcd(num, den) = 1 and den monic for that order, so
 equality is literal dictionary equality.
+
+Normalizing a fraction takes gcds.  An operand of t-degree 0 or 1 needs
+only univariate gcds over F[theta] and, for degree 1, one divisibility
+identity; the primitive PRS in t (``_bivar_gcd``) runs only when both
+operands have t-degree at least 2, as for general random fractions.
+Exact division pops the graded-lex lead of the remainder from a heap.
 """
 
 from __future__ import annotations
+
+import heapq
 
 
 def _glex(key):
@@ -73,9 +81,6 @@ class Poly:
 
     def is_one(self):
         return self.c == {(0, 0): self.ring.field.one}
-
-    def is_constant(self):
-        return not self.c or (len(self.c) == 1 and (0, 0) in self.c)
 
     def deg_theta(self):
         return max((k[0] for k in self.c), default=-1)
@@ -198,30 +203,50 @@ class Poly:
     # -- division --------------------------------------------------------
 
     def exact_div(self, d):
-        """Quotient self / d, assuming the division is exact."""
+        """Quotient self / d, assuming the division is exact.
+
+        The remainder's monomials sit in a heap keyed on graded-lex order;
+        subtracting a multiple of d only adds monomials below the current
+        lead, so each step pops its lead instead of scanning the remainder.
+        Keys cancelled after they were pushed are skipped when popped.
+        """
         if d.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if d.is_one():
             return self
         f = self.ring.field
-        (dk, dc) = d.lead()
+        zero, sub, mul = f.zero, f.sub, f.mul
+        (di, dj), dc = d.lead()
         dinv = f.inv(dc)
+        d_items = list(d.c.items())
         rem = dict(self.c)
+        heap = [(-i - j, -i) for i, j in rem]
+        heapq.heapify(heap)
+        pop, push = heapq.heappop, heapq.heappush
         q = {}
         while rem:
-            k = max(rem, key=_glex)
-            i, j = k[0] - dk[0], k[1] - dk[1]
+            s, ni = pop(heap)
+            k = (-ni, ni - s)
+            v = rem.get(k)
+            if v is None:
+                continue
+            i, j = k[0] - di, k[1] - dj
             if i < 0 or j < 0:
                 raise ArithmeticError("division is not exact")
-            coef = f.mul(rem[k], dinv)
+            coef = mul(v, dinv)
             q[(i, j)] = coef
-            for (mi, mj), v in d.c.items():
+            for (mi, mj), w in d_items:
                 kk = (mi + i, mj + j)
-                s = f.sub(rem.get(kk, f.zero), f.mul(coef, v))
-                if s == f.zero:
-                    rem.pop(kk, None)
+                old = rem.get(kk)
+                if old is None:
+                    rem[kk] = sub(zero, mul(coef, w))
+                    push(heap, (-kk[0] - kk[1], -kk[0]))
                 else:
-                    rem[kk] = s
+                    r = sub(old, mul(coef, w))
+                    if r == zero:
+                        del rem[kk]
+                    else:
+                        rem[kk] = r
         return Poly(self.ring, q)
 
     # -- substitutions ----------------------------------------------------
@@ -354,41 +379,39 @@ def _from_univar(ring, coeffs, var):
     return Poly(ring, {(0, j): c for j, c in enumerate(coeffs) if c != f.zero})
 
 
+def _deg(u, n, zero=0):
+    """Degree of the coefficient list u, knowing u[n + 1:] is zero."""
+    while n >= 0 and u[n] == zero:
+        n -= 1
+    return n
+
+
 def _univar_gcd(a, b, field):
+    """Monic gcd of two little-endian coefficient lists (Euclid)."""
     if field.int_elements:
         return _univar_gcd_prime(list(a), list(b), field.p)
-
-    def deg(u):
-        for i in range(len(u) - 1, -1, -1):
-            if u[i] != field.zero:
-                return i
-        return -1
-
+    zero, sub, mul = field.zero, field.sub, field.mul
     a, b = list(a), list(b)
-    while deg(b) >= 0:
-        da, db = deg(a), deg(b)
+    da, db = _deg(a, len(a) - 1, zero), _deg(b, len(b) - 1, zero)
+    while db >= 0:
         if da < db:
-            a, b = b, a
+            a, b, da, db = b, a, db, da
             continue
-        c = field.mul(a[da], field.inv(b[db]))
+        c = mul(a[da], field.inv(b[db]))
+        off = da - db
         for i in range(db + 1):
-            a[da - db + i] = field.sub(a[da - db + i], field.mul(c, b[i]))
-        if deg(a) < deg(b):
-            a, b = b, a
-    d = deg(a)
-    inv = field.inv(a[d])
-    return [field.mul(x, inv) for x in a[: d + 1]]
+            if b[i] != zero:
+                a[off + i] = sub(a[off + i], mul(c, b[i]))
+        da = _deg(a, da - 1, zero)
+        if da < db:
+            a, b, da, db = b, a, db, da
+    inv = field.inv(a[da])
+    return [mul(x, inv) for x in a[: da + 1]]
 
 
 def _univar_gcd_prime(a, b, p):
     """Euclid over F_p with plain int lists."""
-    def deg(u):
-        for i in range(len(u) - 1, -1, -1):
-            if u[i]:
-                return i
-        return -1
-
-    da, db = deg(a), deg(b)
+    da, db = _deg(a, len(a) - 1), _deg(b, len(b) - 1)
     while db >= 0:
         if da < db:
             a, b, da, db = b, a, db, da
@@ -398,7 +421,7 @@ def _univar_gcd_prime(a, b, p):
         for i in range(db + 1):
             if b[i]:
                 a[off + i] = (a[off + i] - c * b[i]) % p
-        da = deg(a)
+        da = _deg(a, da - 1)
         if da < db:
             a, b, da, db = b, a, db, da
     inv = pow(a[da], p - 2, p)
@@ -413,7 +436,14 @@ def _monomial_gcd(mono: Poly, other: Poly) -> Poly:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic (graded-lex) gcd in F[theta, t]."""
+    """Monic (graded-lex) gcd in F[theta, t].
+
+    Exact shortcuts come first: a monomial operand; an operand of t-degree
+    0, whose gcd with b is a gcd in F[theta] of it and the t-coefficients
+    of b; an operand of t-degree 1 (``_linear_gcd``); two t-free or two
+    theta-free operands.  The primitive PRS (``_bivar_gcd``) runs only when
+    both operands have t-degree at least 2 and one of them involves theta.
+    """
     ring = a.ring
     if a.is_zero():
         return b.monic()
@@ -423,12 +453,51 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return _monomial_gcd(a, b)
     if len(b.c) == 1:
         return _monomial_gcd(b, a)
-    f = ring.field
-    if a.deg_t() == 0 and b.deg_t() == 0:
-        return _from_univar(ring, _univar_gcd(_to_univar(a, 0), _to_univar(b, 0), f), 0)
+    da, db = a.deg_t(), b.deg_t()
+    if da > db:
+        a, b, da = b, a, db
+    if da == 0:
+        return _content_theta(b, a)
+    if da == 1:
+        return _linear_gcd(a, b)
     if a.deg_theta() == 0 and b.deg_theta() == 0:
-        return _from_univar(ring, _univar_gcd(_to_univar(a, 1), _to_univar(b, 1), f), 1)
+        return _from_univar(
+            ring, _univar_gcd(_to_univar(a, 1), _to_univar(b, 1), ring.field), 1)
     return _bivar_gcd(a, b)
+
+
+def _linear_gcd(a, b):
+    """gcd(a, b) for a of t-degree 1.
+
+    Write a = c (b1 t + b0) with c the theta-content of a.  The primitive
+    part L = b1 t + b0 has t-degree 1, so it is irreducible (Gauss's
+    lemma), and gcd(a, b) = gcd(c, content b) * (L if L | b else 1).  L
+    divides b exactly when b vanishes at t = -b0/b1, i.e. when
+    sum_j b_j (-b0)^j b1^(d - j) = 0 for d = deg_t b.
+    """
+    ring = a.ring
+    ac = _t_coeffs(a)
+    c = _content_theta(a)
+    b1, b0 = ac[1], ac.get(0, ring.zero)
+    if c.is_one():
+        g = c
+    else:
+        b1, b0 = b1.exact_div(c), b0.exact_div(c)
+        g = _content_theta(b, c)
+    bc = _t_coeffs(b)
+    d = max(bc)
+    x, unit = -b0, b1.is_one()
+    acc, b1_pow = bc[d], ring.one
+    for j in range(d - 1, -1, -1):
+        acc = acc * x
+        if not unit:
+            b1_pow = b1_pow * b1
+        bj = bc.get(j)
+        if bj is not None:
+            acc = acc + (bj if unit else bj * b1_pow)
+    if not acc.is_zero():
+        return g
+    return (g * (b1 * ring.t + b0)).monic()
 
 
 def _t_coeffs(poly):
@@ -440,35 +509,31 @@ def _t_coeffs(poly):
     return {j: Poly(ring, d) for j, d in out.items()}
 
 
-def _from_t_coeffs(ring, coeffs):
-    out = {}
-    for j, p in coeffs.items():
-        for (i, _), v in p.c.items():
-            out[(i, j)] = v
-    return Poly(ring, out)
-
-
-def _content_theta(poly):
-    """gcd over F[theta] of the t-coefficients."""
+def _content_theta(poly, g=None):
+    """Monic gcd over F[theta] of the t-coefficients of poly and, when
+    given, the t-free polynomial g; stops as soon as it reaches 1."""
     ring = poly.ring
-    cs = list(_t_coeffs(poly).values())
-    g = cs[0]
-    for c in cs[1:]:
-        if g.is_one():
+    f = ring.field
+    rows = {}
+    for (i, j), v in poly.c.items():
+        row = rows.get(j)
+        if row is None:
+            row = rows[j] = []
+        if len(row) <= i:
+            row.extend([f.zero] * (i + 1 - len(row)))
+        row[i] = v
+    acc = [] if g is None else _to_univar(g, 0)
+    for row in sorted(rows.values(), key=len):
+        acc = _univar_gcd(acc, row, f)
+        if len(acc) == 1:
             break
-        g = _from_univar(
-            ring, _univar_gcd(_to_univar(g, 0), _to_univar(c, 0), ring.field), 0
-        )
-    return g.monic()
+    return _from_univar(ring, acc, 0)
 
 
 def _bivar_gcd(a, b):
     """Primitive PRS gcd with t as the main variable."""
-    ring = a.ring
     ca, cb = _content_theta(a), _content_theta(b)
-    g_cont = _from_univar(
-        ring, _univar_gcd(_to_univar(ca, 0), _to_univar(cb, 0), ring.field), 0
-    )
+    g_cont = _content_theta(cb, ca)
     pa, pb = a.exact_div(ca), b.exact_div(cb)
     while not pb.is_zero():
         r = _prem_t(pa, pb)

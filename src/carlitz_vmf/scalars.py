@@ -72,15 +72,6 @@ class GradedScalar:
         """The grade-(0,0) component."""
         return self.grade_part(0, 0)
 
-    def as_rational(self) -> RatFunc:
-        """The value, required to be purely rational (grade (0,0))."""
-        if not self.terms:
-            return RatFunc(self.ring.zero, None, reduce=False)
-        sg = self.single_grade()
-        if sg is None or sg[0] != (0, 0):
-            raise MixedGradeError("scalar carries period grades")
-        return sg[1]
-
     def grades(self):
         return set(self.terms)
 

@@ -46,15 +46,6 @@ def poly_from_json(ring, data) -> Poly:
     return Poly(ring, {(i, j): elt_from_digits(f, s) for i, j, s in data})
 
 
-def rat_to_json(r: RatFunc):
-    return {"num": poly_to_json(r.num), "den": poly_to_json(r.den)}
-
-
-def rat_from_json(ring, data) -> RatFunc:
-    return RatFunc(poly_from_json(ring, data["num"]),
-                   poly_from_json(ring, data["den"]), reduce=False)
-
-
 def scalar_to_json(s: GradedScalar):
     return [[a, b, poly_to_json(c.num), poly_to_json(c.den)]
             for (a, b), c in sorted(s.terms.items())]

@@ -85,11 +85,6 @@ class USeries:
             parts.append(f"O(u^{self.prec})")
         return " + ".join(parts) if parts else "0"
 
-    def require_prec(self, n: int):
-        if self._p() < n:
-            raise PrecisionError(f"series known only to O(u^{self.prec}), need {n}")
-        return self
-
     # -- ring operations ------------------------------------------------------
 
     def __add__(self, other):
@@ -181,12 +176,14 @@ class USeries:
             if len(other.c) == 1:
                 return self * USeries.monomial(self.ctx, -vg, other.c[vg].inv())
             raise PrecisionError("dividing exact by exact needs a truncation")
-        rel = min(self._p() - self.val() if self.c else self._p() - vg,
-                  other._p() - vg)
-        if rel == math.inf:
-            rel = None
-        inv = other.inverse(rel)
-        return self * inv
+        return self * other.inverse(self._quotient_rel(other))
+
+    def _quotient_rel(self, other):
+        """Relative precision of the inverse of other that self / other
+        needs (finite unless both series are exact)."""
+        vg = other.val()
+        return min(self._p() - self.val() if self.c else self._p() - vg,
+                   other._p() - vg)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -315,6 +312,21 @@ class USeries:
             if not v.is_zero():
                 out[n] = v
         return USeries(rctx.spec_ctx, out, self.prec)
+
+
+def quotients(nums, den: USeries) -> list:
+    """``[num / den for num in nums]`` with one inverse of den.
+
+    The inverse is taken at the largest relative precision any quotient
+    needs, and each product uses it truncated to that quotient's own, so
+    every quotient equals ``num / den`` term for term and in precision.
+    """
+    if not den.c or den.prec is None:
+        return [num / den for num in nums]
+    rels = [num._quotient_rel(den) for num in nums]
+    inv = den.inverse(max(rels))
+    vg = den.val()
+    return [num * inv.truncate(rel - vg) for num, rel in zip(nums, rels)]
 
 
 def u_scale(ctx: Context, a, prec: int) -> USeries:

@@ -28,7 +28,8 @@ from .forms import (ClassicalForm, express_in_gh, gen_Delta, gen_g, gen_goss_eis
                     gen_h, gh_monomials)
 from .polys import Poly, RatFunc
 from .scalars import GradedScalar
-from .useries import USeries, goss_series, scale_arg, trace_div, u_scale
+from .useries import (USeries, goss_series, quotients, scale_arg, trace_div,
+                      u_scale)
 
 
 def regular_weight_ok(ctx: Context, k: int, m: int) -> bool:
@@ -472,8 +473,7 @@ def legendre_fstar(ctx: Context, N: int):
         M = ctx.q * (N + 2)
         e1 = eis1(ctx, M)
         h = gen_h(ctx, M)
-        T1 = -(e1.h1 / h.series)
-        T3 = -(e1.h3 / h.series)
+        T1, T3 = (-x for x in quotients([e1.h1, e1.h3], h.series))
         T = VMForm(ctx, -ctx.q, -1, T1, T3, regular=False)
         fstar = untau_vmf(T, -1, -1, regular=False)
         d2 = -fstar.h1

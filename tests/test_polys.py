@@ -4,7 +4,7 @@ import pytest
 import sympy
 
 from carlitz_vmf.context import Context
-from carlitz_vmf.polys import Poly, PolyRing, RatFunc, poly_gcd
+from carlitz_vmf.polys import Poly, PolyRing, RatFunc, _bivar_gcd, poly_gcd
 from carlitz_vmf.fields import GF
 
 
@@ -65,6 +65,61 @@ def test_univariate_gcd(q):
         want = to_sympy(c).mul(to_sympy(u)).gcd(to_sympy(c).mul(to_sympy(v)))
         want = [int(w) % q for w in reversed(want.all_coeffs())]
         assert poly_gcd(a, b) == ctx.apoly(want)
+
+
+def _random_poly(R, rng, max_i, max_j, n_terms):
+    """Random polynomial of t-degree max_j and theta-degree <= max_i."""
+    F = R.field
+    nonzero = [x for x in F.elements() if x != F.zero]
+    c = {(rng.randrange(max_i + 1), rng.randrange(max_j + 1)): rng.choice(nonzero)
+         for _ in range(n_terms)}
+    c[(rng.randrange(max_i + 1), max_j)] = rng.choice(nonzero)
+    return Poly(R, c)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_gcd_shortcuts_match_prs(q):
+    """poly_gcd takes exact shortcuts for an operand of t-degree 0 or 1;
+    each must equal the primitive PRS gcd and come out monic."""
+    R = Context(q).ring
+    rng = random.Random(100 + q)
+    pairs = []
+    for _ in range(8):
+        A = _random_poly(R, rng, 3, 2, 4)        # t-degree 2
+        B = _random_poly(R, rng, 3, 3, 5)        # t-degree 3
+        x = _random_poly(R, rng, 3, 0, 3) * R.theta + R.one  # t-free
+        c = _random_poly(R, rng, 2, 0, 2) * R.theta + R.one  # content, deg >= 1
+        lin = c * _random_poly(R, rng, 3, 1, 4)  # b1(theta) t + b0(theta)
+        monic_lin = R.t - _random_poly(R, rng, 3, 0, 3)  # t - s(theta)
+        pairs += [
+            (x, B),                    # t-free against bivariate
+            (x * c, c * B),            # ... with a common factor
+            (lin, lin * A),            # linear operand divides the other
+            (lin, c * A),              # only its content is shared
+            (lin, B),                  # linear operand does not divide
+            (lin, x * c * A + R.one),  # nor here
+            (monic_lin, monic_lin * x * A),
+            (monic_lin, A),
+        ]
+    for a, b in pairs:
+        assert min(a.deg_t(), b.deg_t()) <= 1 and len(a.c) > 1 and len(b.c) > 1
+        want = _bivar_gcd(a, b)
+        for g in (poly_gcd(a, b), poly_gcd(b, a)):
+            assert g == want
+            assert g.lead()[1] == R.field.one
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_exact_div_recovers_factor(q):
+    R = Context(q).ring
+    rng = random.Random(200 + q)
+    for _ in range(10):
+        f = _random_poly(R, rng, 6, 3, 12)
+        d = _random_poly(R, rng, 4, 2, 6)
+        assert len(d.c) > 1
+        assert (f * d).exact_div(d) == f
+        with pytest.raises(ArithmeticError):
+            (f * d + R.one).exact_div(d)
 
 
 def test_exact_div_raises_on_inexact():
