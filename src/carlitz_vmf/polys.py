@@ -16,6 +16,7 @@ Exact division pops the graded-lex lead of the remainder from a heap.
 
 from __future__ import annotations
 
+import functools
 import heapq
 
 
@@ -81,6 +82,14 @@ class Poly:
 
     def is_one(self):
         return self.c == {(0, 0): self.ring.field.one}
+
+    def terms(self):
+        """Sorted ``(i, j, coefficient)`` triples of the nonzero terms."""
+        return [(i, j, v) for (i, j), v in sorted(self.c.items())]
+
+    def coeff(self, i, j):
+        """Coefficient of theta^i t^j (the field's zero when absent)."""
+        return self.c.get((i, j), self.ring.field.zero)
 
     def deg_theta(self):
         return max((k[0] for k in self.c), default=-1)
@@ -357,6 +366,119 @@ def _lucas_binom(m, n, p):
         m //= p
         n //= p
     return out % p
+
+
+# -- packed polynomials in characteristic 2 ---------------------------------
+
+@functools.cache
+def _f2_packer(field):
+    """The ``_F2Packer`` of F_2 or of an extension of the prime field F_2,
+    built on first use and kept; None for every other field."""
+    if field.p == 2 and (field.int_elements or field.base.int_elements):
+        return _F2Packer(field)
+    return None
+
+
+class _F2Packer:
+    """Polynomials over F = F_2[x]/(m) of degree e over F_2, packed.
+
+    A packed polynomial is ``[rows, terms, multiples]``.  ``rows`` lists
+    ``(j, r)``: the F_2 digits of the coefficient of theta^i t^j sit in bits
+    [i e, i e + e) of the int r, so sums are XORs.  ``terms`` lists
+    ``(i e, j, d)`` with d the element's digits read as an int (its code).
+    ``multiples`` is filled when first needed: entry d holds the rows times
+    the element of code d.  Multiplying rows by x moves every slot up one
+    bit and folds the bits that leave a slot back in with the reduction
+    row of x^e, so a product is XORs and shifts of ints only.
+    """
+
+    def __init__(self, field):
+        if field.int_elements:
+            self.e, self.dec = 1, [0, 1]
+        else:
+            e = self.e = field.deg
+            self.dec = [tuple((d >> k) & 1 for k in range(e))
+                        for d in range(1 << e)]
+            self.red = sum(b << k for k, b in enumerate(field._red[0]))
+        self.enc = {v: d for d, v in enumerate(self.dec)}
+        self.bits = self.ones = self.low = 0
+
+    def pack(self, poly):
+        e, enc = self.e, self.enc
+        rows, terms = {}, []
+        for (i, j), v in poly.c.items():
+            d, s = enc[v], i * e
+            rows[j] = rows.get(j, 0) | (d << s)
+            terms.append((s, j, d))
+        return [list(rows.items()), terms, None]
+
+    def unpack(self, ring, rows):
+        """(Poly, packed) of rows whose zero ints are left out."""
+        e, dec = self.e, self.dec
+        c, terms = {}, []
+        if e == 1:
+            one = dec[1]
+            for j, r in rows:
+                v = r
+                while v:
+                    low = v & -v
+                    s = low.bit_length() - 1
+                    c[(s, j)] = one
+                    terms.append((s, j, 1))
+                    v ^= low
+        else:
+            mask = (1 << e) - 1
+            for j, r in rows:
+                v = r
+                while v:
+                    b = (v & -v).bit_length() - 1
+                    s = b - b % e
+                    d = (v >> s) & mask
+                    c[(s // e, j)] = dec[d]
+                    terms.append((s, j, d))
+                    v ^= d << s
+        return Poly(ring, c), [rows, terms, None]
+
+    def _times_x(self, r):
+        if r.bit_length() > self.bits:
+            e = self.e
+            self.bits = 2 * e * -(-r.bit_length() // e)
+            self.ones = ((1 << self.bits) - 1) // ((1 << e) - 1)
+            self.low = self.ones * ((1 << (e - 1)) - 1)
+        return ((r & self.low) << 1) ^ (
+            ((r >> (self.e - 1)) & self.ones) * self.red)
+
+    def multiples(self, a):
+        """Entry d: the rows of packed a times the element of code d."""
+        if a[2] is None:
+            rows, e = a[0], self.e
+            if e == 1:
+                a[2] = [None, rows]
+                return a[2]
+            xk = [rows]
+            for _ in range(e - 1):
+                xk.append([(j, self._times_x(r)) for j, r in xk[-1]])
+            out = [None] * (1 << e)
+            for d in range(1, 1 << e):
+                low = d & -d
+                k = low.bit_length() - 1
+                out[d] = xk[k] if d == low else [
+                    (j, r ^ s) for (j, r), (_, s) in zip(out[d ^ low], xk[k])]
+            a[2] = out
+        return a[2]
+
+    def mul_into(self, acc, a, b):
+        """acc ^= a * b, for acc a dict t-degree -> int: the terms of one
+        factor select shifted multiples of the other, whichever makes
+        fewer XORs."""
+        if len(a[1]) * len(b[0]) > len(b[1]) * len(a[0]):
+            a, b = b, a
+        mults = b[2] or self.multiples(b)
+        get = acc.get
+        for s, j, d in a[1]:
+            for jb, r in mults[d]:
+                k = j + jb
+                acc[k] = get(k, 0) ^ (r << s)
 
 
 # -- gcd ------------------------------------------------------------------

@@ -221,7 +221,7 @@ class GradedScalar:
 def _theta_root(p: Poly, q: int) -> Poly:
     """Inverse of theta -> theta^q on a polynomial."""
     out = {}
-    for (i, j), v in p.c.items():
+    for i, j, v in p.terms():
         if i % q:
             raise NotTauImageError(f"theta exponent {i} not divisible by {q}")
         out[(i // q, j)] = v

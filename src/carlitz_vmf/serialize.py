@@ -13,7 +13,7 @@ import json
 
 from .context import Context
 from .forms import ClassicalForm
-from .polys import Poly, RatFunc
+from .polys import Poly, RatFunc, poly_gcd
 from .scalars import GradedScalar
 from .useries import USeries
 from .vmf import VMForm
@@ -38,12 +38,25 @@ def elt_from_digits(field, s: str):
 
 def poly_to_json(p: Poly):
     f = p.ring.field
-    return [[i, j, digits_str(f, c)] for (i, j), c in sorted(p.c.items())]
+    return [[i, j, digits_str(f, c)] for i, j, c in p.terms()]
 
 
 def poly_from_json(ring, data) -> Poly:
+    """The polynomial of a triple list; refuses a negative exponent, a
+    stored zero coefficient or a monomial listed twice, which no writer
+    produces."""
     f = ring.field
-    return Poly(ring, {(i, j): elt_from_digits(f, s) for i, j, s in data})
+    c = {}
+    for i, j, s in data:
+        v = elt_from_digits(f, s)
+        if i < 0 or j < 0:
+            raise ValueError(f"negative exponent in theta^{i} t^{j}")
+        if v == f.zero:
+            raise ValueError(f"zero coefficient stored at theta^{i} t^{j}")
+        if (i, j) in c:
+            raise ValueError(f"monomial theta^{i} t^{j} listed twice")
+        c[(i, j)] = v
+    return Poly(ring, c)
 
 
 def scalar_to_json(s: GradedScalar):
@@ -52,11 +65,24 @@ def scalar_to_json(s: GradedScalar):
 
 
 def scalar_from_json(ring, data) -> GradedScalar:
-    return GradedScalar(ring, {
-        (a, b): RatFunc(poly_from_json(ring, num), poly_from_json(ring, den),
-                        reduce=False)
-        for a, b, num, den in data
-    })
+    """The scalar of a record list.  Only canonical fractions load: a
+    nonzero numerator, a monic denominator and no common factor; a grade
+    stored twice is refused too."""
+    terms = {}
+    for a, b, num, den in data:
+        n, d = poly_from_json(ring, num), poly_from_json(ring, den)
+        if n.is_zero():
+            raise ValueError(f"zero numerator stored under grade ({a}, {b})")
+        if d.is_zero():
+            raise ValueError(f"zero denominator under grade ({a}, {b})")
+        if d.lead()[1] != ring.field.one:
+            raise ValueError(f"denominator {d} is not monic")
+        if not d.is_one() and not poly_gcd(n, d).is_one():
+            raise ValueError(f"fraction ({n})/({d}) is not in lowest terms")
+        if (a, b) in terms:
+            raise ValueError(f"grade ({a}, {b}) stored twice")
+        terms[(a, b)] = RatFunc(n, d, reduce=False)
+    return GradedScalar(ring, terms)
 
 
 def series_to_json(f: USeries):

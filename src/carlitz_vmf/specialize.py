@@ -304,7 +304,7 @@ def phi_rep(ctx: Context, n: int, a, rctx: RootContext | None = None):
                 p2 = x.subs_t_elt(rctx.spec_ring, rctx.zeta_power, rctx.embed)
                 if p2.deg_theta() > 0:
                     raise CarlitzVMFError("character value must be theta-free")
-                new.append(p2.c.get((0, 0), rctx.field.zero))
+                new.append(p2.coeff(0, 0))
         out.append(new)
     return out
 

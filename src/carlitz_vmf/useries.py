@@ -5,6 +5,15 @@ exact, everything above is undetermined (``prec is None`` marks an exact,
 finitely supported series).  Every operation computes the precision of
 its output from the precisions and valuations of its inputs, so a
 coefficient is never reported beyond what is actually known.
+
+Products and inverses over F_2 and its extensions F_2[x]/(m) (the Conway
+fields F_{2^e} and the residue fields of F_2[theta]) take a packed path
+when every coefficient is a polynomial of one shared grade, and, for an
+inverse, the lowest coefficient is a constant: each coefficient is packed
+once into bitmask rows (``polys._F2Packer``), coefficient products are
+XORs of shifted rows, and one ``Poly`` is built per output coefficient.
+Odd characteristic, a denominator, mixed grades or a tower over F_4 stay
+on the schoolbook loops; both give the same coefficients.
 """
 
 from __future__ import annotations
@@ -14,6 +23,7 @@ import math
 from .carlitz import goss_poly, period_lattice, torsion_lattice
 from .context import Context
 from .errors import MixedGradeError, PrecisionError
+from .polys import RatFunc, _f2_packer
 from .scalars import GradedScalar, eval_root, eval_theta_power
 
 
@@ -114,6 +124,9 @@ class USeries:
         prec = min(pf + vg, pg + vf)
         if not self.c or not other.c:
             return USeries.zero(self.ctx, None if prec == math.inf else prec)
+        out = _packed_mul(self, other, prec)
+        if out is not None:
+            return USeries(self.ctx, out, None if prec == math.inf else prec)
         out = {}
         items2 = sorted(other.c.items())
         for n1, c1 in self.c.items():
@@ -155,8 +168,12 @@ class USeries:
             lead_inv = lead.inv()
         except MixedGradeError:
             raise MixedGradeError("lowest coefficient is not invertible (mixed grade)")
-        out = {0: lead_inv}
         f_rel = {n - v: c for n, c in self.c.items()}
+        out = _packed_inverse(f_rel, lead_inv, rel_prec)
+        if out is not None:
+            return USeries(self.ctx, {n - v: c for n, c in out.items()},
+                           rel_prec - v)
+        out = {0: lead_inv}
         for n in range(1, rel_prec):
             acc = None
             for k, fk in f_rel.items():
@@ -312,6 +329,91 @@ class USeries:
             if not v.is_zero():
                 out[n] = v
         return USeries(rctx.spec_ctx, out, self.prec)
+
+
+def _poly_grade(coeffs) -> tuple | None:
+    """The grade of every coefficient when each is a polynomial (a fraction
+    with denominator 1) of that one grade, else None."""
+    grade = None
+    for s in coeffs:
+        if len(s.terms) != 1:
+            return None
+        ((g, c),) = s.terms.items()
+        if grade is None:
+            grade = g
+        if g != grade or not c.den.is_one():
+            return None
+    return grade
+
+
+def _packed_mul(f: USeries, g: USeries, prec) -> dict | None:
+    """The coefficients of f * g below prec through the packed F_2 codec,
+    or None when the field is not F_2 or an extension of it, or when a
+    factor has a fraction or mixes grades (the schoolbook takes those)."""
+    ring = f.ctx.ring
+    packer = _f2_packer(ring.field)
+    if packer is None:
+        return None
+    gf, gg = _poly_grade(f.c.values()), _poly_grade(g.c.values())
+    if gf is None or gg is None:
+        return None
+    pg = [(n, packer.pack(s.terms[gg].num)) for n, s in sorted(g.c.items())]
+    acc: dict = {}
+    for n1, s in f.c.items():
+        a = packer.pack(s.terms[gf].num)
+        for n2, b in pg:
+            n = n1 + n2
+            if n >= prec:
+                break
+            rows = acc.get(n)
+            if rows is None:
+                rows = acc[n] = {}
+            packer.mul_into(rows, a, b)
+    grade = (gf[0] + gg[0], gf[1] + gg[1])
+    out = {}
+    for n, rows in acc.items():
+        p = packer.unpack(ring, [(j, r) for j, r in rows.items() if r])[0]
+        if not p.is_zero():
+            out[n] = GradedScalar(ring, {grade: RatFunc(p, None, reduce=False)})
+    return out
+
+
+def _packed_inverse(f_rel: dict, lead_inv: GradedScalar, rel_prec: int):
+    """The recurrence of ``USeries.inverse`` through the packed F_2 codec,
+    for f_rel = {k: f_k} with f_0 a constant; None where ``_packed_mul``
+    would decline, or when f_0 is not a constant."""
+    ring = lead_inv.ring
+    packer = _f2_packer(ring.field)
+    if packer is None:
+        return None
+    g = _poly_grade(f_rel.values())
+    if g is None:
+        return None
+    lead = f_rel[0].terms[g].num
+    if lead.deg_theta() or lead.deg_t():
+        return None
+    ((grade, c0),) = lead_inv.terms.items()
+    code = packer.enc[c0.num.coeff(0, 0)]
+    fp = sorted((k, packer.pack(s.terms[g].num))
+                for k, s in f_rel.items() if k)
+    packed = {0: packer.pack(c0.num)}
+    out = {0: lead_inv}
+    for n in range(1, rel_prec):
+        acc: dict = {}
+        for k, a in fp:
+            if k > n:
+                break
+            b = packed.get(n - k)
+            if b is not None:
+                packer.mul_into(acc, a, b)
+        rows = [(j, r) for j, r in acc.items() if r]
+        if not rows:
+            continue
+        if code != 1:
+            rows = packer.multiples([rows, None, None])[code]
+        p, packed[n] = packer.unpack(ring, rows)
+        out[n] = GradedScalar(ring, {grade: RatFunc(p, None, reduce=False)})
+    return out
 
 
 def quotients(nums, den: USeries) -> list:

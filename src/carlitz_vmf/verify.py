@@ -72,9 +72,8 @@ def prime_theta_plus(ctx, c: int):
 # -- 1. generator expansions ---------------------------------------------------
 
 
-def suite_generators(q: int, N: int = 60) -> dict:
+def suite_generators(q: int, N: int = 60, *, checks: list) -> dict:
     ctx = Context(q)
-    checks = []
     v = q - 1
     top = v * (q * q - q + 1)
     Ng = max(N, top + 2)
@@ -113,9 +112,8 @@ def suite_generators(q: int, N: int = 60) -> dict:
 # -- 2. determinant identity ------------------------------------------------------
 
 
-def suite_det(q: int, N: int = 40) -> dict:
+def suite_det(q: int, N: int = 40, *, checks: list) -> dict:
     ctx = Context(q)
-    checks = []
     e1 = eis1(ctx, N)
     eqf = eis_q(ctx, N)
     det = det_pair(e1, eqf)
@@ -142,9 +140,9 @@ def _normalized_e1(ctx, N):
     return eis1(ctx, N).scale(s)
 
 
-def suite_tau_difference(q: int, N: int = 40, kmax: int = 3) -> dict:
+def suite_tau_difference(q: int, N: int = 40, kmax: int = 3,
+                         *, checks: list) -> dict:
     ctx = Context(q)
-    checks = []
     Y = _normalized_e1(ctx, N)
     tY = tau_vmf(Y)
     ttY = tau_vmf(tY)
@@ -197,13 +195,13 @@ def suite_tau_difference(q: int, N: int = 40, kmax: int = 3) -> dict:
 # -- 4/5. Hecke eigenforms, multiplicativity, twist compatibility ------------------
 
 
-def suite_hecke_eigen(q: int, N: int | None = None, primes=None) -> dict:
+def suite_hecke_eigen(q: int, N: int | None = None, primes=None,
+                      *, checks: list) -> dict:
     ctx = Context(q)
     if primes is None:
         primes = [prime_theta(ctx), prime_theta_plus(ctx, 1)]
         if q == 2:
             primes.append((ctx.base_field.one, ctx.base_field.one, ctx.base_field.one))
-    checks = []
     dmax = max(len(p) - 1 for p in primes)
     if N is None:
         N = q * q ** dmax + q * q + 2
@@ -225,11 +223,11 @@ def suite_hecke_eigen(q: int, N: int | None = None, primes=None) -> dict:
     return _report("hecke-eigen", q, N, checks)
 
 
-def suite_hecke_mult_tau(q: int, N: int | None = None) -> dict:
+def suite_hecke_mult_tau(q: int, N: int | None = None,
+                         *, checks: list) -> dict:
     if N is None:
         N = 20 if q == 2 else 24
     ctx = Context(q)
-    checks = []
     p1 = prime_theta(ctx)
     p2 = prime_theta_plus(ctx, 1)
     e1 = eis1(ctx, N)
@@ -253,9 +251,8 @@ def suite_hecke_mult_tau(q: int, N: int | None = None) -> dict:
 # -- 6. Legendre pair -----------------------------------------------------------
 
 
-def suite_legendre(q: int, N: int = 64) -> dict:
+def suite_legendre(q: int, N: int = 64, *, checks: list) -> dict:
     ctx = Context(q)
-    checks = []
     fstar, d2, d3 = legendre_fstar(ctx, N)
     tm = ctx.ring.t - ctx.ring.theta
     v = q - 1
@@ -319,9 +316,8 @@ def suite_legendre(q: int, N: int = 64) -> dict:
 # -- (e). weight-k expansions ------------------------------------------------------
 
 
-def suite_eis_aexp(q: int, N: int = 24) -> dict:
+def suite_eis_aexp(q: int, N: int = 24, *, checks: list) -> dict:
     ctx = Context(q)
-    checks = []
     e1 = eis1(ctx, N)
     eqf = eis_q(ctx, N)
     ek1 = eis_k(ctx, 1, N)
@@ -353,11 +349,11 @@ def suite_eis_aexp(q: int, N: int = 24) -> dict:
 # -- 7. specializations -------------------------------------------------------------
 
 
-def suite_specialize_petrov(q: int, N: int | None = None) -> dict:
+def suite_specialize_petrov(q: int, N: int | None = None,
+                            *, checks: list) -> dict:
     ctx = Context(q)
     if N is None:
         N = q ** 3 + 2
-    checks = []
     e1 = eis1(ctx, N)
     for dd in (1, 2):
         s = (q ** dd - 1) // (q - 1)
@@ -402,11 +398,10 @@ def suite_specialize_petrov(q: int, N: int | None = None) -> dict:
 # -- 8. congruences ------------------------------------------------------------------
 
 
-def suite_congruence(q: int, N: int = 32) -> dict:
+def suite_congruence(q: int, N: int = 32, *, checks: list) -> dict:
     from .specialize import RootContext, congruence_check, enumerate_primes
 
     ctx = Context(q)
-    checks = []
     for p in enumerate_primes(ctx, 2):
         for l in range(len(p) - 1):
             rep = congruence_check(RootContext(ctx, p, l), N)
@@ -415,11 +410,10 @@ def suite_congruence(q: int, N: int = 32) -> dict:
     return _report("congruence", q, N, checks)
 
 
-def suite_vadic(q: int, N: int = 32) -> dict:
+def suite_vadic(q: int, N: int = 32, *, checks: list) -> dict:
     from .specialize import RootContext, enumerate_primes, vadic_check
 
     ctx = Context(q)
-    checks = []
     for p in enumerate_primes(ctx, 2):
         rep = vadic_check(RootContext(ctx, p), 1, N)
         _chk(checks, f"p-adic divisibility at p={p}, n=1", rep["ok"],
@@ -430,11 +424,10 @@ def suite_vadic(q: int, N: int = 32) -> dict:
 # -- 9. hyperderivative/Hecke compatibility -------------------------------------------
 
 
-def suite_hyperderiv_hecke(q: int = 2, N: int = 24) -> dict:
+def suite_hyperderiv_hecke(q: int = 2, N: int = 24, *, checks: list) -> dict:
     from .specialize import RootContext, hecke_compat_check
 
     ctx = Context(q)
-    checks = []
     e1 = eis1(ctx, N)
     p = prime_theta(ctx)
     q0 = prime_theta_plus(ctx, 1)
@@ -490,11 +483,10 @@ def coset_power_sums(ctx: Context, p, base: USeries, K: int):
     return sums
 
 
-def suite_oracles(q: int, N: int | None = None) -> dict:
+def suite_oracles(q: int, N: int | None = None, *, checks: list) -> dict:
     ctx = Context(q)
     if N is None:
         N = q ** 3 + 2
-    checks = []
     p = prime_theta(ctx)
     u = USeries.u(ctx).truncate(N)
     # trace_div against the Newton brute force, coefficient by coefficient
@@ -611,10 +603,10 @@ def _random_series(ctx, rng, N, val=0, with_grades=False):
     return USeries(ctx, c, N)
 
 
-def suite_properties(q: int, N: int = 24, seed: int = 7, cases: int = 10) -> dict:
+def suite_properties(q: int, N: int = 24, seed: int = 7, cases: int = 10,
+                     *, checks: list) -> dict:
     ctx = Context(q)
     rng = random.Random(seed)
-    checks = []
 
     ok = True
     for _ in range(cases):
@@ -767,9 +759,8 @@ def suite_properties(q: int, N: int = 24, seed: int = 7, cases: int = 10) -> dic
 # -- 12. the experimental weight q+2 computation -------------------------------------------
 
 
-def suite_experimental(q: int, N: int = 64) -> dict:
+def suite_experimental(q: int, N: int = 64, *, checks: list) -> dict:
     ctx = Context(q)
-    checks = []
     e1 = eis1(ctx, N)
     hN = gen_h(ctx, N)
     he1 = e1.mul_classical(hN)
@@ -811,19 +802,24 @@ SUITES = {
 def run_suite(name: str, q: int, N: int | None = None, **kw) -> dict:
     """Run one suite and return its report.
 
-    A suite that raises a package error is reported as failed, with one
-    check carrying the exception; ``PrecisionError`` propagates, since it
-    asks the caller for a larger truncation rather than refuting a check.
+    Every suite appends its checks to the list ``checks`` that this
+    function hands it.  A suite that raises a package error is reported as
+    failed: the checks it recorded before the exception stay, and one more
+    failed check carries the exception.  ``PrecisionError`` propagates,
+    since it asks the caller for a larger truncation rather than refuting
+    a check.
     """
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
     fn = SUITES[name]
+    checks = []
     try:
-        return fn(q, **kw) if N is None else fn(q, N, **kw)
+        if N is None:
+            return fn(q, checks=checks, **kw)
+        return fn(q, N, checks=checks, **kw)
     except PrecisionError:
         raise
     except CarlitzVMFError as exc:
-        checks = []
         _chk(checks, "suite ran to completion", False,
              detail=f"{type(exc).__name__}: {exc}")
         return _report(name, q, N, checks)

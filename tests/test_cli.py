@@ -109,7 +109,7 @@ def test_verify_experimental_is_report_only(capsys):
 
 
 def _raising_suite(exc):
-    def suite(q, N=8):
+    def suite(q, N=8, *, checks):
         raise exc
     return suite
 
@@ -131,12 +131,26 @@ def test_run_suite_reports_a_raising_suite_as_failed(monkeypatch, capsys):
     assert "uncancelled pole at t = theta" in out
 
 
+def test_run_suite_keeps_the_checks_before_an_exception(monkeypatch):
+    def suite(q, N=8, *, checks):
+        verify._chk(checks, "first identity", True)
+        raise EvaluationPoleError("pole")
+    monkeypatch.setitem(verify.SUITES, "half", suite)
+    rep = verify.run_suite("half", 2)
+    assert rep["ok"] is False
+    first, failed = rep["checks"]
+    assert first == {"name": "first identity", "ok": True, "detail": None}
+    assert failed["ok"] is False
+    assert failed["detail"] == "EvaluationPoleError: pole"
+    assert rep["first_discrepancy"]["check"] == failed["name"]
+
+
 def test_verify_all_continues_past_a_raising_suite(monkeypatch, capsys):
     for name in list(verify.SUITES):
         monkeypatch.delitem(verify.SUITES, name)
     monkeypatch.setitem(verify.SUITES, "a-raises", _raising_suite(
         EvaluationPoleError("pole")))
-    monkeypatch.setitem(verify.SUITES, "b-passes", lambda q, N=8: (
+    monkeypatch.setitem(verify.SUITES, "b-passes", lambda q, N=8, *, checks: (
         verify._report("b-passes", q, N,
                        [{"name": "fine", "ok": True, "detail": None}])))
     code, out, _ = run(["verify", "--q", "2", "--suite", "all"], capsys)

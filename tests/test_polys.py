@@ -102,7 +102,8 @@ def test_gcd_shortcuts_match_prs(q):
             (monic_lin, A),
         ]
     for a, b in pairs:
-        assert min(a.deg_t(), b.deg_t()) <= 1 and len(a.c) > 1 and len(b.c) > 1
+        assert min(a.deg_t(), b.deg_t()) <= 1
+        assert len(a.terms()) > 1 and len(b.terms()) > 1
         want = _bivar_gcd(a, b)
         for g in (poly_gcd(a, b), poly_gcd(b, a)):
             assert g == want
@@ -116,10 +117,21 @@ def test_exact_div_recovers_factor(q):
     for _ in range(10):
         f = _random_poly(R, rng, 6, 3, 12)
         d = _random_poly(R, rng, 4, 2, 6)
-        assert len(d.c) > 1
+        assert len(d.terms()) > 1
         assert (f * d).exact_div(d) == f
         with pytest.raises(ArithmeticError):
             (f * d + R.one).exact_div(d)
+
+
+def test_terms_and_coeff():
+    R = ring(3)
+    p = R.t * R.theta + R.from_int(2) + R.t
+    assert p.terms() == [(0, 0, 2), (0, 1, 1), (1, 1, 1)]
+    assert p.coeff(1, 1) == 1 and p.coeff(0, 0) == 2
+    assert p.coeff(1, 0) == 0 and p.coeff(7, 7) == 0
+    assert R.zero.terms() == []
+    F4 = PolyRing(GF(2, 2))
+    assert F4.one.coeff(0, 0) == (1, 0) and F4.one.coeff(0, 1) == (0, 0)
 
 
 def test_exact_div_raises_on_inexact():

@@ -111,6 +111,47 @@ def test_non_canonical_digits_are_refused():
             assert ser.elt_from_digits(field, ser.digits_str(field, x)) == x
 
 
+@pytest.mark.parametrize("q", [2, 3, 4], ids=lambda q: f"q{q}")
+def test_non_canonical_polynomials_are_refused(q):
+    R = shared_context(q).ring
+    zero, one = (ser.digits_str(R.field, x) for x in (R.field.zero,
+                                                      R.field.one))
+    assert ser.poly_from_json(R, [[0, 0, one], [1, 0, one]]) == \
+        R.one + R.theta
+    for data in ([[0, 0, zero]],                 # stored zero
+                 [[1, 0, one], [0, 0, zero]],
+                 [[1, 0, one], [1, 0, one]],     # repeated monomial
+                 [[0, -1, one]]):
+        with pytest.raises(ValueError):
+            ser.poly_from_json(R, data)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4], ids=lambda q: f"q{q}")
+def test_non_canonical_fractions_are_refused(q):
+    ctx = shared_context(q)
+    R, F = ctx.ring, ctx.ring.field
+    js = ser.poly_to_json
+    tm = R.theta - R.t                                # monic: theta > t
+    good = [[0, 0, js(R.theta), js(tm)], [1, -1, js(R.t), js(R.one)]]
+    back = ser.scalar_from_json(R, good)
+    assert back == GradedScalar(R, {(0, 0): RatFunc(R.theta, tm),
+                                    (1, -1): RatFunc(R.t, None)})
+    w = F.from_int(2) if q == 3 else F.gen() if q == 4 else None
+    bad = [
+        [[0, 0, js(R.one), js(R.zero)]],              # zero denominator
+        [[0, 0, js(R.zero), js(R.one)]],              # zero under a grade
+        [[0, 0, js(R.theta), js(tm * R.theta)]],      # common factor theta
+        [[0, 0, js(tm * tm), js(tm * (R.t + R.one))]],
+        [[0, 0, js(R.one), js(R.one)], [0, 0, js(R.t), js(R.one)]],  # twice
+    ]
+    if w is not None:                                 # non-monic denominator
+        bad.append([[0, 0, js(R.one), js(tm.scale(w))]])
+        bad.append([[0, 0, js(R.one), js(R.const(w))]])
+    for data in bad:
+        with pytest.raises(ValueError):
+            ser.scalar_from_json(R, data)
+
+
 def test_envelope_validation(ctx):
     e1 = eis1(ctx, 6)
     env = ser.envelope(ctx, "vmform", 6, ser.vmform_to_json(e1))

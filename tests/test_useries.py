@@ -3,10 +3,13 @@ import random
 
 import pytest
 
+from carlitz_vmf import useries
+from carlitz_vmf.context import Context
 from carlitz_vmf.errors import (MixedGradeError, NotTauImageError,
                                 PrecisionError)
 from carlitz_vmf.forms import gen_E, gen_g, gen_h
-from carlitz_vmf.polys import Poly, RatFunc
+from carlitz_vmf.fields import GF, PolyExtField
+from carlitz_vmf.polys import Poly, RatFunc, _f2_packer
 from carlitz_vmf.scalars import GradedScalar
 from carlitz_vmf.useries import USeries, dz, scale_arg, trace_div, u_scale
 from conftest import shared_context
@@ -265,7 +268,7 @@ def test_eval_series_on_plain_coefficients(ctx):
     for n, c in f.c.items():
         num = c.rational_part().num
         expect = Poly(rctx.spec_ring,
-                      {k: rctx.embed(v) for k, v in num.c.items()})
+                      {(i, j): rctx.embed(v) for i, j, v in num.terms()})
         assert ev.c[n].rational_part().num == expect
 
 
@@ -277,3 +280,188 @@ def test_precision_soundness_pipeline(ctx):
     g_N = gen_g(ctx, N).series
     g_2N = gen_g(ctx, 2 * N).series
     assert g_2N.truncate(N).eq_to_prec(g_N)
+
+
+# -- series products over F_2 and its extensions (packed path) ---------------
+
+# coefficient fields over F_2 that the packed path takes: Conway fields
+# and residue fields F_2[y]/(P) of degree 1 and 3
+PACKED_FIELDS = {
+    "F2": lambda: GF(2),
+    "F4": lambda: GF(2, 2),
+    "F8": lambda: GF(2, 3),
+    "F16": lambda: GF(2, 4),
+    "res1": lambda: PolyExtField(GF(2), (1, 1), name="zeta"),
+    "res3": lambda: PolyExtField(GF(2), (1, 0, 1, 1), name="zeta"),
+}
+
+
+def _packed_ctx(name):
+    field = PACKED_FIELDS[name]()
+    ctx = Context(4) if field == GF(2, 2) else Context(2, coeff_field=field)
+    assert _f2_packer(ctx.ring.field) is not None
+    return ctx
+
+
+def _rand_poly(ring, rng, deg_theta, deg_t, terms):
+    els = [x for x in ring.field.elements() if x != ring.field.zero]
+    return Poly(ring, {(rng.randrange(deg_theta + 1), rng.randrange(deg_t + 1)):
+                       rng.choice(els) for _ in range(terms)})
+
+
+def _poly_series(ctx, rng, lo, hi, prec, grade=(0, 0), deg_t=2):
+    c = {}
+    for n in range(lo, hi):
+        if rng.random() < 0.8:
+            p = _rand_poly(ctx.ring, rng, 12, deg_t, rng.randrange(1, 9))
+            c[n] = GradedScalar.from_poly(p, *grade)
+    return USeries(ctx, c, prec)
+
+
+def _num(s):
+    ((_, c),) = s.terms.items()
+    assert c.den.is_one()
+    return c.num
+
+
+def _oracle_product(f, g, prec):
+    """{n: sum of f_n1 g_n2 over n1 + n2 = n < prec}, by Poly arithmetic."""
+    zero = f.ctx.ring.zero
+    out = {}
+    for n1, a in f.c.items():
+        for n2, b in g.c.items():
+            if n1 + n2 < prec:
+                out[n1 + n2] = out.get(n1 + n2, zero) + _num(a) * _num(b)
+    return {n: p for n, p in out.items() if not p.is_zero()}
+
+
+def _assert_product(f, g, grade):
+    h = f * g
+    prec = min(f._p() + g.val(), g._p() + f.val())
+    assert h.prec == (None if prec == math.inf else prec)
+    assert {n: _num(c) for n, c in h.c.items()} == _oracle_product(f, g, prec)
+    assert all(c.grades() == {grade} for c in h.c.values())
+    # the packed product itself computes nothing at or past prec
+    packed = useries._packed_mul(f, g, prec)
+    assert packed is not None and all(n < prec for n in packed)
+    assert {n: _num(c) for n, c in packed.items()} == \
+        {n: _num(c) for n, c in h.c.items()}
+
+
+@pytest.mark.parametrize("name", list(PACKED_FIELDS))
+def test_packed_product_matches_oracle(name):
+    ctx = _packed_ctx(name)
+    rng = random.Random(name)
+    for _ in range(4):
+        # negative valuations, both truncated: the prec cut-off decides
+        f = _poly_series(ctx, rng, -3, 9, 9, grade=(1, -1))
+        g = _poly_series(ctx, rng, -2, 7, 7, grade=(0, 2))
+        _assert_product(f, g, (1, 1))
+        # exact times truncated, both ways round
+        e = _poly_series(ctx, rng, -1, 5, None, grade=(0, 0))
+        _assert_product(e, g, (0, 2))
+        _assert_product(g, e, (0, 2))
+        # t-free coefficients
+        a = _poly_series(ctx, rng, 0, 6, 6, deg_t=0)
+        _assert_product(a, a, (0, 0))
+
+
+@pytest.mark.parametrize("name", list(PACKED_FIELDS))
+def test_packed_product_cancels_to_zero(name):
+    ctx = _packed_ctx(name)
+    R = ctx.ring
+    rng = random.Random(name + "0")
+    c = _rand_poly(R, rng, 6, 2, 5)
+    d = _rand_poly(R, rng, 6, 2, 5)
+    gs = GradedScalar.from_poly
+    # (c + c u)(d + d u) = cd + 2cd u + cd u^2: the u term cancels
+    f = USeries(ctx, {0: gs(c), 1: gs(c)}, None)
+    g = USeries(ctx, {0: gs(d), 1: gs(d)}, 3)
+    h = f * g
+    assert sorted(h.c) == [0, 2]
+    assert _num(h.c[0]) == c * d == _num(h.c[2])
+    _assert_product(f, g, (0, 0))
+    # a coefficient whose t^1 part alone cancels
+    t = R.t
+    f = USeries(ctx, {0: gs(R.one + t), 1: gs(t)}, 4)
+    g = USeries(ctx, {0: gs(R.one), 1: gs(R.one)}, 4)
+    assert _num((f * g).c[1]) == R.one
+    _assert_product(f, g, (0, 0))
+
+
+def _assert_inverse(f, rel):
+    inv = f.inverse(rel)
+    v = f.val()
+    assert inv.prec == rel - v
+    assert all(c.grades() == {tuple(-x for x in f.c[v].grades().pop())}
+               for c in inv.c.values())
+    one = _oracle_product(f, inv, rel)
+    assert one == {0: f.ctx.ring.one}
+
+
+@pytest.mark.parametrize("name", list(PACKED_FIELDS))
+def test_packed_inverse_matches_oracle(name):
+    ctx = _packed_ctx(name)
+    R = ctx.ring
+    rng = random.Random(name + "inv")
+    els = [x for x in R.field.elements() if x != R.field.zero]
+    for lead in els:
+        f = _poly_series(ctx, rng, -2, 8, 8, grade=(2, -1))
+        f = USeries(ctx, {**f.c, -3: GradedScalar.from_poly(R.const(lead),
+                                                              2, -1)}, 8)
+        _assert_inverse(f, 12)
+
+
+def test_packed_inverse_with_non_unit_lead_in_f4():
+    ctx = _packed_ctx("F4")
+    R = ctx.ring
+    w = R.field.gen()
+    rng = random.Random(44)
+    for lead in (w, R.field.mul(w, w)):
+        f = _poly_series(ctx, rng, 1, 10, 10)
+        f = USeries(ctx, {**f.c, 0: GradedScalar.from_poly(R.const(lead))},
+                    10)
+        inv = f.inverse()
+        assert _num(inv.c[0]) == R.const(R.field.inv(lead))
+        _assert_inverse(f, 10)
+    # a lead that is not a constant goes to the schoolbook, with a fraction
+    f = USeries(ctx, {0: ctx.gs(R.theta), 1: ctx.gs_one()}, 6)
+    inv = f.inverse()
+    assert inv.c[0] == ctx.gs(R.theta).inv()
+    assert (f * inv).eq_to_prec(USeries.one(ctx, 6))
+
+
+def _schoolbook(f, g, prec):
+    """{n: sum of f_n1 g_n2} by GradedScalar arithmetic."""
+    out = {}
+    for n1, a in f.c.items():
+        for n2, b in g.c.items():
+            if n1 + n2 < prec:
+                out[n1 + n2] = out.get(n1 + n2, f.ctx.gs_zero()) + a * b
+    return {n: c for n, c in out.items() if not c.is_zero()}
+
+
+def test_fallback_keeps_the_schoolbook():
+    rng = random.Random(5)
+    cases = []
+    ctx3 = shared_context(3)          # odd characteristic
+    cases.append((ctx3, _poly_series(ctx3, rng, 0, 6, 6),
+                  _poly_series(ctx3, rng, 0, 6, 6)))
+    ctx2 = _packed_ctx("F2")
+    R = ctx2.ring
+    mixed = _poly_series(ctx2, rng, 0, 6, 6)
+    mixed.c[2] = mixed.c.get(2, ctx2.gs_one()) + ctx2.gs(R.theta, om=1)
+    cases.append((ctx2, mixed, _poly_series(ctx2, rng, 0, 6, 6)))
+    frac = _poly_series(ctx2, rng, 0, 6, 6)
+    frac.c[1] = GradedScalar.from_rat(RatFunc(R.one, R.t + R.theta))
+    cases.append((ctx2, _poly_series(ctx2, rng, 0, 6, 6), frac))
+    ctx4 = shared_context(4)          # a tower over F_4
+    tower = Context(4, coeff_field=PolyExtField(
+        ctx4.base_field, (ctx4.base_field.gen(), ctx4.base_field.one)))
+    assert _f2_packer(tower.ring.field) is None
+    cases.append((tower, _poly_series(tower, rng, 0, 5, 5),
+                  _poly_series(tower, rng, 0, 5, 5)))
+    for ctx, f, g in cases:
+        prec = min(f._p() + g.val(), g._p() + f.val())
+        assert useries._packed_mul(f, g, prec) is None
+        assert (f * g).c == _schoolbook(f, g, prec)
