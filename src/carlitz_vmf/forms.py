@@ -85,15 +85,14 @@ def a_expansion(ctx: Context, coeff_fn, k: int, N: int) -> USeries:
     if k < 1:
         raise ValueError("k must be positive")
     L = period_lattice(ctx)
-    out = USeries.zero(ctx, N)
+    terms = []
     for a in ctx.monics_below(N):
         c = coeff_fn(a)
         if c is None or (hasattr(c, "is_zero") and c.is_zero()):
             continue
         S = u_scale(ctx, a, N)
-        term = S if k == 1 else goss_series(ctx, L, k, S)
-        out = out + term.scale(c)
-    return out.truncate(N)
+        terms.append((c, S if k == 1 else goss_series(ctx, L, k, S), 0))
+    return USeries.lincomb(ctx, terms, N)
 
 
 def gen_E(ctx: Context, N: int) -> ClassicalForm:

@@ -6,14 +6,19 @@ finitely supported series).  Every operation computes the precision of
 its output from the precisions and valuations of its inputs, so a
 coefficient is never reported beyond what is actually known.
 
-Products and inverses over F_2 and its extensions F_2[x]/(m) (the Conway
-fields F_{2^e} and the residue fields of F_2[theta]) take a packed path
-when every coefficient is a polynomial of one shared grade, and, for an
-inverse, the lowest coefficient is a constant: each coefficient is packed
-once into bitmask rows (``polys._F2Packer``), coefficient products are
-XORs of shifted rows, and one ``Poly`` is built per output coefficient.
-Odd characteristic, a denominator, mixed grades or a tower over F_4 stay
-on the schoolbook loops; both give the same coefficients.
+Products, scalings and the monic-indexed sums of the form builders are
+all linear combinations sum c * u^k * f, taken by one kernel,
+``USeries.lincomb``.  Over F_2 and its extensions F_2[x]/(m) (the Conway
+fields F_{2^e} and the residue fields of F_2[theta]) it takes a packed
+path when every series is a polynomial series of one grade, every scalar
+a polynomial of one grade, and the grades add up alike in every term:
+each series is packed once into bitmask rows (``polys._F2Packer``),
+coefficient products are XORs of shifted rows accumulated per output
+exponent across all terms, and one ``Poly`` is built per output
+coefficient.  The recurrence of ``USeries.inverse`` packs the same way
+when, in addition, the lowest coefficient is a constant.  Odd
+characteristic, a denominator, mixed grades or a tower over F_4 stay on
+the schoolbook loops; both give the same coefficients.
 """
 
 from __future__ import annotations
@@ -118,37 +123,52 @@ class USeries:
         return self + (-other)
 
     def __mul__(self, other):
-        pf, pg = self._p(), other._p()
-        vf = self.val() if self.c else pf
-        vg = other.val() if other.c else pg
-        prec = min(pf + vg, pg + vf)
-        if not self.c or not other.c:
-            return USeries.zero(self.ctx, None if prec == math.inf else prec)
-        out = _packed_mul(self, other, prec)
-        if out is not None:
-            return USeries(self.ctx, out, None if prec == math.inf else prec)
-        out = {}
-        items2 = sorted(other.c.items())
-        for n1, c1 in self.c.items():
-            for n2, c2 in items2:
-                n = n1 + n2
-                if n >= prec:
-                    break
-                prod = c1 * c2
-                if n in out:
-                    s = out[n] + prod
-                    if s.is_zero():
-                        del out[n]
-                    else:
-                        out[n] = s
-                elif not prod.is_zero():
-                    out[n] = prod
-        return USeries(self.ctx, out, None if prec == math.inf else prec)
+        vg = other.val() if other.c else other._p()
+        return USeries.lincomb(self.ctx,
+                               [(c, other, n) for n, c in self.c.items()],
+                               self._p() + vg)
 
     def scale(self, scalar: GradedScalar):
         if scalar.is_zero():
             return USeries.zero(self.ctx)
-        return USeries(self.ctx, {n: scalar * c for n, c in self.c.items()}, self.prec)
+        return USeries.lincomb(self.ctx, [(scalar, self, 0)])
+
+    @staticmethod
+    def lincomb(ctx: Context, terms, prec=None):
+        """sum of c * u^k * f over the ``(c, f, k)`` in terms, where c is a
+        GradedScalar or None for 1.
+
+        The result is known below min(prec, f.prec + k over every term, an
+        empty f included).  ``_packed_lincomb`` takes the sum when it can;
+        every other case runs the schoolbook loop below, the one loop for
+        products and sums of scaled series.
+        """
+        P = math.inf if prec is None else prec
+        for _, f, k in terms:
+            if f.prec is not None and f.prec + k < P:
+                P = f.prec + k
+        out = _packed_lincomb(ctx, terms, P)
+        if out is None:
+            out = {}
+            items: dict = {}
+            for c, f, k in terms:
+                fs = items.get(id(f))
+                if fs is None:
+                    fs = items[id(f)] = sorted(f.c.items())
+                for n, fc in fs:
+                    n += k
+                    if n >= P:
+                        break
+                    prod = fc if c is None else c * fc
+                    if n in out:
+                        s = out[n] + prod
+                        if s.is_zero():
+                            del out[n]
+                        else:
+                            out[n] = s
+                    elif not prod.is_zero():
+                        out[n] = prod
+        return USeries(ctx, out, None if P == math.inf else P)
 
     def shift(self, k: int):
         prec = None if self.prec is None else self.prec + k
@@ -346,30 +366,71 @@ def _poly_grade(coeffs) -> tuple | None:
     return grade
 
 
-def _packed_mul(f: USeries, g: USeries, prec) -> dict | None:
-    """The coefficients of f * g below prec through the packed F_2 codec,
-    or None when the field is not F_2 or an extension of it, or when a
-    factor has a fraction or mixes grades (the schoolbook takes those)."""
-    ring = f.ctx.ring
+def _packed_lincomb(ctx: Context, terms, prec) -> dict | None:
+    """The coefficients below prec of ``USeries.lincomb(ctx, terms)``
+    through the packed F_2 codec, or None when the field is not F_2 or an
+    extension of it, when a series has a fraction or mixes grades, when a
+    scalar is not a polynomial of one grade, or when the grades of scalar
+    and series do not add up alike in every term (the schoolbook takes
+    those).  Each distinct series is packed once, each scalar once per
+    term, and each output coefficient is unpacked once."""
+    ring = ctx.ring
     packer = _f2_packer(ring.field)
     if packer is None:
         return None
-    gf, gg = _poly_grade(f.c.values()), _poly_grade(g.c.values())
-    if gf is None or gg is None:
-        return None
-    pg = [(n, packer.pack(s.terms[gg].num)) for n, s in sorted(g.c.items())]
+    series: dict = {}
+    work = []
+    grade = None
+    for c, f, k in terms:
+        if not f.c or (c is not None and not c.terms):
+            continue
+        s = series.get(id(f))
+        if s is None:
+            gf = _poly_grade(f.c.values())
+            if gf is None:
+                return None
+            # [series, grade, lowest shift, packed rows, index of last term]
+            s = series[id(f)] = [f, gf, k, None, 0]
+        elif k < s[2]:
+            s[2] = k
+        s[4] = len(work)
+        g = s[1]
+        if c is not None:
+            if len(c.terms) != 1:
+                return None
+            ((gc, r),) = c.terms.items()
+            if not r.den.is_one():
+                return None
+            g = (g[0] + gc[0], g[1] + gc[1])
+            c = None if r.num.is_one() else r.num
+        if grade is None:
+            grade = g
+        elif g != grade:
+            return None
+        work.append((c, s, k))
+    # a series is packed at its first term, below prec minus its lowest
+    # shift, and let go after its last, so few packed series live at once
     acc: dict = {}
-    for n1, s in f.c.items():
-        a = packer.pack(s.terms[gf].num)
-        for n2, b in pg:
-            n = n1 + n2
+    for i, (c, s, k) in enumerate(work):
+        f, gf, kmin, packed, last = s
+        if packed is None:
+            packed = s[3] = [(n, packer.pack(fc.terms[gf].num))
+                             for n, fc in sorted(f.c.items()) if n + kmin < prec]
+        if i == last:
+            s[3] = None
+        a = None if c is None else packer.pack(c)
+        for n, b in packed:
+            n += k
             if n >= prec:
                 break
             rows = acc.get(n)
             if rows is None:
                 rows = acc[n] = {}
-            packer.mul_into(rows, a, b)
-    grade = (gf[0] + gg[0], gf[1] + gg[1])
+            if a is None:
+                for j, r in b[0]:
+                    rows[j] = rows.get(j, 0) ^ r
+            else:
+                packer.mul_into(rows, a, b)
     out = {}
     for n, rows in acc.items():
         p = packer.unpack(ring, [(j, r) for j, r in rows.items() if r])[0]
@@ -380,7 +441,7 @@ def _packed_mul(f: USeries, g: USeries, prec) -> dict | None:
 
 def _packed_inverse(f_rel: dict, lead_inv: GradedScalar, rel_prec: int):
     """The recurrence of ``USeries.inverse`` through the packed F_2 codec,
-    for f_rel = {k: f_k} with f_0 a constant; None where ``_packed_mul``
+    for f_rel = {k: f_k} with f_0 a constant; None where ``_packed_lincomb``
     would decline, or when f_0 is not a constant."""
     ring = lead_inv.ring
     packer = _f2_packer(ring.field)
@@ -480,7 +541,6 @@ def scale_arg(f: USeries, a, prec: int | None = None) -> USeries:
 def goss_series(ctx: Context, L, k: int, S: USeries) -> USeries:
     """G_k evaluated at the series S."""
     g = goss_poly(ctx, L, k)
-    out = USeries.zero(ctx, None)
     powers: dict = {}
 
     def spow(e):
@@ -492,9 +552,8 @@ def goss_series(ctx: Context, L, k: int, S: USeries) -> USeries:
                 powers[e] = h * h if e % 2 == 0 else h * h * S
         return powers[e]
 
-    for e, c in sorted(g.coeffs.items()):
-        out = out + spow(e).scale(GradedScalar.from_rat(c))
-    return out
+    return USeries.lincomb(ctx, [(GradedScalar.from_rat(c), spow(e), 0)
+                                 for e, c in sorted(g.coeffs.items())])
 
 
 def trace_div(f: USeries, p) -> USeries:

@@ -178,18 +178,14 @@ def eis1(ctx: Context, N: int) -> VMForm:
     """The weight-one series: h1 = -sum a(t) u(az),
     h3 = 1/((t-theta) om) + sum chi_corr(a) u(az)."""
     def build():
-        h1 = USeries.zero(ctx, N)
-        h3 = USeries.const(ctx, lambda_1(ctx), N)
+        h1, h3 = [], []
         for a in ctx.monics_below(N):
-            d = len(a) - 1
-            S = u_scale(ctx, a, N)
-            h1 = h1 - S.scale(ctx.gs(ctx.chi(a)))
-            if d >= 1:
-                cc = chi_correction(ctx, a)
-                S_hi = u_scale(ctx, a, N + ctx.q ** (d - 1))
-                h3 = h3 + (cc * S_hi).truncate(N)
-        return VMForm(ctx, 1, 0, h1.truncate(N), h3.truncate(N), regular=True,
-                      lam=lambda_1(ctx))
+            S = _u_scale_hi(ctx, a, N)
+            h1.append((-ctx.gs(ctx.chi(a)), S, 0))
+            h3 += [(c, S, n) for n, c in chi_correction(ctx, a).c.items()]
+        h1 = USeries.lincomb(ctx, h1, N)
+        h3 = USeries.const(ctx, lambda_1(ctx), N) + USeries.lincomb(ctx, h3, N)
+        return VMForm(ctx, 1, 0, h1, h3, regular=True, lam=lambda_1(ctx))
 
     return ctx.memo(("eis1", N), build)
 
@@ -200,24 +196,29 @@ def eis_q(ctx: Context, N: int) -> VMForm:
     h3 = lambda_q + tau(om)^(-1) sum u(az)^(q-1) + sum chi_corr(a) u(az)^q."""
     def build():
         q = ctx.q
-        h1 = USeries.zero(ctx, N)
-        mid = USeries.zero(ctx, N)
-        h3 = USeries.const(ctx, lambda_q(ctx), N)
+        h1, mid, h3 = [], [], []
         for a in ctx.monics_below(N):
-            d = len(a) - 1
-            S = u_scale(ctx, a, N)
-            Sq = (S ** q).truncate(N)
-            h1 = h1 - Sq.scale(ctx.gs(ctx.chi(a)))
-            mid = mid + (S ** (q - 1)).truncate(N)
-            if d >= 1:
-                cc = chi_correction(ctx, a)
-                S_hi = u_scale(ctx, a, N + ctx.q ** (d - 1))
-                h3 = h3 + (cc * S_hi ** q).truncate(N)
-        h3 = h3 + mid.scale(tau_omega_inv(ctx))
-        return VMForm(ctx, q, 0, h1.truncate(N), h3.truncate(N), regular=True,
+            S = _u_scale_hi(ctx, a, N)
+            Sq = S ** q
+            h1.append((-ctx.gs(ctx.chi(a)), Sq, 0))
+            mid.append((None, S ** (q - 1), 0))
+            h3 += [(c, Sq, n) for n, c in chi_correction(ctx, a).c.items()]
+        h3 = (USeries.const(ctx, lambda_q(ctx), N) + USeries.lincomb(ctx, h3, N)
+              + USeries.lincomb(ctx, mid, N).scale(tau_omega_inv(ctx)))
+        return VMForm(ctx, q, 0, USeries.lincomb(ctx, h1, N), h3, regular=True,
                       lam=lambda_q(ctx))
 
     return ctx.memo(("eis_q", N), build)
+
+
+def _u_scale_hi(ctx: Context, a, N: int) -> USeries:
+    """u(a z) to O(u^(N + s)), s the pole order of chi_correction(a): the
+    precision chi_correction(a) * u(a z) needs to be known to O(u^N).
+    ``eis1``, ``eis_q`` and ``extract_lambda`` ask for this one before any
+    O(u^N) request, so ``u_scale`` inverts once per monic and serves
+    O(u^N) from its cache."""
+    d = len(a) - 1
+    return u_scale(ctx, a, N + ctx.q ** (d - 1) if d >= 1 else N)
 
 
 def tau_vmf(H: VMForm) -> VMForm:
@@ -374,12 +375,11 @@ def eis_k(ctx: Context, k: int, N: int) -> VMForm:
     def build():
         q = ctx.q
         L = period_lattice(ctx)
-        h1 = USeries.zero(ctx, N)
-        for a in ctx.monics_below(N):
-            S = u_scale(ctx, a, N)
-            h1 = h1 - goss_series(ctx, L, k, S).scale(ctx.gs(ctx.chi(a)))
         e1 = eis1(ctx, N)
         eq = eis_q(ctx, N)
+        h1 = USeries.lincomb(ctx, [
+            (-ctx.gs(ctx.chi(a)), goss_series(ctx, L, k, u_scale(ctx, a, N)), 0)
+            for a in ctx.monics_below(N)], N)
         pairs_F = gh_monomials(ctx, k - 1, 0)
         pairs_G = gh_monomials(ctx, k - q, 0) if k >= q else []
         gN = gen_g(ctx, N)
@@ -405,14 +405,14 @@ def eis_k(ctx: Context, k: int, N: int) -> VMForm:
         from .forms import _gauss_pivot_solution
 
         sol = _gauss_pivot_solution(ctx, mat, rhs)
-        Fs = USeries.zero(ctx, N)
-        Gs = USeries.zero(ctx, N)
-        for (al, be), c in zip(pairs_F, sol[: len(pairs_F)]):
-            if not c.is_zero():
-                Fs = Fs + monomial(al, be).scale(GradedScalar.from_rat(c))
-        for (al, be), c in zip(pairs_G, sol[len(pairs_F):]):
-            if not c.is_zero():
-                Gs = Gs + monomial(al, be).scale(GradedScalar.from_rat(c))
+
+        def combine(pairs, coeffs):
+            return USeries.lincomb(ctx, [
+                (GradedScalar.from_rat(c), monomial(al, be), 0)
+                for (al, be), c in zip(pairs, coeffs) if not c.is_zero()], N)
+
+        Fs = combine(pairs_F, sol[: len(pairs_F)])
+        Gs = combine(pairs_G, sol[len(pairs_F):])
         check = Fs * e1.h1 + Gs * eq.h1
         if not check.eq_to_prec(h1):
             raise NotInSpanError("weight-k first coordinate not in the module",
@@ -431,17 +431,16 @@ def extract_lambda(ctx: Context, k: int, h1: USeries, h3: USeries, N: int):
     constant (the cross-check of the expansion theorem)."""
     q = ctx.q
     L = period_lattice(ctx)
-    rest = h3
+    corr = []
     for a in ctx.monics_below(N):
-        d = len(a) - 1
-        if d < 1:
+        if len(a) < 2:
             continue
-        cc = chi_correction(ctx, a)
-        S_hi = u_scale(ctx, a, N + q ** (d - 1))
-        rest = rest - (cc * goss_series(ctx, L, k, S_hi)).truncate(N)
+        G = goss_series(ctx, L, k, _u_scale_hi(ctx, a, N))
+        corr += [(-c, G, n) for n, c in chi_correction(ctx, a).c.items()]
     lmax = 0
     while q ** (lmax + 1) <= k - 1:
         lmax += 1
+    eis = []
     if k > 1:
         for l in range(lmax + 1):
             w = k - q ** l
@@ -450,8 +449,10 @@ def extract_lambda(ctx: Context, k: int, h1: USeries, h3: USeries, N: int):
             tq = Poly(ctx.ring, {(q ** l, 0): ctx.ring.field.one})
             den = (tq - ctx.ring.t) * ctx.D(l)
             coef = GradedScalar(ctx.ring, {(0, -1): RatFunc(ctx.ring.one, den)})
-            combo = USeries.const(ctx, zr, N) + E_l.series
-            rest = rest - combo.scale(coef)
+            eis.append((-coef, USeries.const(ctx, zr, N) + E_l.series, 0))
+    # the polynomial corrections and the fraction-scaled Eisenstein terms
+    # are two sums, so the first can stay on the packed path
+    rest = h3 + USeries.lincomb(ctx, corr, N) + USeries.lincomb(ctx, eis, N)
     # the remainder must be a constant series
     nonconst = {n: c for n, c in rest.c.items() if n != 0}
     if nonconst:

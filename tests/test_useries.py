@@ -335,6 +335,12 @@ def _oracle_product(f, g, prec):
     return {n: p for n, p in out.items() if not p.is_zero()}
 
 
+def _packed_product(f, g, prec):
+    """The packed kernel on the terms ``USeries.__mul__`` hands it."""
+    return useries._packed_lincomb(
+        f.ctx, [(c, g, n) for n, c in f.c.items()], prec)
+
+
 def _assert_product(f, g, grade):
     h = f * g
     prec = min(f._p() + g.val(), g._p() + f.val())
@@ -342,7 +348,7 @@ def _assert_product(f, g, grade):
     assert {n: _num(c) for n, c in h.c.items()} == _oracle_product(f, g, prec)
     assert all(c.grades() == {grade} for c in h.c.values())
     # the packed product itself computes nothing at or past prec
-    packed = useries._packed_mul(f, g, prec)
+    packed = _packed_product(f, g, prec)
     assert packed is not None and all(n < prec for n in packed)
     assert {n: _num(c) for n, c in packed.items()} == \
         {n: _num(c) for n, c in h.c.items()}
@@ -431,14 +437,24 @@ def test_packed_inverse_with_non_unit_lead_in_f4():
     assert (f * inv).eq_to_prec(USeries.one(ctx, 6))
 
 
+def _oracle_lincomb(ctx, terms, prec=None):
+    """(coefficients, precision) of sum c u^k f over the (c, f, k) in terms,
+    one coefficient at a time by GradedScalar arithmetic."""
+    P = math.inf if prec is None else prec
+    for _, f, k in terms:
+        P = min(P, f._p() + k)
+    out = {}
+    for c, f, k in terms:
+        for m, fm in f.c.items():
+            if m + k < P:
+                v = fm if c is None else c * fm
+                out[m + k] = out.get(m + k, ctx.gs_zero()) + v
+    return {n: v for n, v in out.items() if not v.is_zero()}, P
+
+
 def _schoolbook(f, g, prec):
     """{n: sum of f_n1 g_n2} by GradedScalar arithmetic."""
-    out = {}
-    for n1, a in f.c.items():
-        for n2, b in g.c.items():
-            if n1 + n2 < prec:
-                out[n1 + n2] = out.get(n1 + n2, f.ctx.gs_zero()) + a * b
-    return {n: c for n, c in out.items() if not c.is_zero()}
+    return _oracle_lincomb(f.ctx, [(c, g, n) for n, c in f.c.items()], prec)[0]
 
 
 def test_fallback_keeps_the_schoolbook():
@@ -463,5 +479,90 @@ def test_fallback_keeps_the_schoolbook():
                   _poly_series(tower, rng, 0, 5, 5)))
     for ctx, f, g in cases:
         prec = min(f._p() + g.val(), g._p() + f.val())
-        assert useries._packed_mul(f, g, prec) is None
+        assert _packed_product(f, g, prec) is None
         assert (f * g).c == _schoolbook(f, g, prec)
+
+
+# -- linear combinations (USeries.lincomb) -----------------------------------
+
+
+def _assert_lincomb(ctx, terms, prec=None, packed=True):
+    """lincomb equals the oracle, in coefficients and in precision, and
+    the packed kernel takes the terms (packed=True) or declines them."""
+    coeffs, P = _oracle_lincomb(ctx, terms, prec)
+    h = USeries.lincomb(ctx, terms, prec)
+    assert h.prec == (None if P == math.inf else P)
+    assert h.c == coeffs
+    direct = useries._packed_lincomb(ctx, terms, P)
+    if packed:
+        assert direct == coeffs
+    else:
+        assert direct is None
+    return h
+
+
+@pytest.mark.parametrize("name", list(PACKED_FIELDS))
+def test_lincomb_packed_matches_oracle(name):
+    ctx = _packed_ctx(name)
+    R = ctx.ring
+    rng = random.Random(name + "lincomb")
+    gs = GradedScalar.from_poly
+    # f and g of grade (1, 0); e of grade (0, 1) pairs with scalars of
+    # grade (1, -1), so every term lands on grade (1, 0)
+    f = _poly_series(ctx, rng, -2, 10, 10, grade=(1, 0))
+    g = _poly_series(ctx, rng, 0, 14, 14, grade=(1, 0))
+    e = _poly_series(ctx, rng, 1, 7, None, grade=(0, 1))
+    scalars = [None, ctx.gs_one(), gs(_rand_poly(R, rng, 5, 2, 6))]
+    others = [x for x in R.field.elements() if x not in (R.field.zero, R.field.one)]
+    if others:                       # a constant other than 1
+        scalars.append(gs(R.const(others[0])))
+    for c in scalars:
+        # shifts of both signs, one series in two terms
+        _assert_lincomb(ctx, [(c, f, -3), (c, g, 2), (c, f, 4)])
+        _assert_lincomb(ctx, [(c, g, 0), (gs(_rand_poly(R, rng, 4, 1, 4), 1, -1), e, -1)])
+    theta_t = gs(R.theta * R.t + R.one)
+    lift = gs(R.theta + R.t, 1, -1)  # takes e to grade (1, 0)
+    one = ctx.gs_one()
+    # the precision: from f.prec + k (both signs), from prec, and from an
+    # empty f with a finite precision
+    assert _assert_lincomb(ctx, [(theta_t, f, 3)]).prec == 13
+    assert _assert_lincomb(ctx, [(theta_t, f, -3), (lift, e, 0)]).prec == 7
+    assert _assert_lincomb(ctx, [(theta_t, g, 0), (one, f, 1)], 6).prec == 6
+    assert _assert_lincomb(ctx, [(None, USeries.zero(ctx, 4), 1),
+                                 (theta_t, g, -1)]).prec == 5
+    assert _assert_lincomb(ctx, [(None, e, 0)]).prec is None
+    # terms that cancel to an exact zero
+    p = _rand_poly(R, rng, 6, 2, 5)
+    for terms in ([(None, f, 1), (one, f, 1)],
+                  [(gs(p), g, -1), (gs(p * R.one), g, -1)],
+                  [(gs(p), f, 0), (lift, e, 2), (gs(p), f, 0),
+                   (lift, e, 2)]):
+        h = _assert_lincomb(ctx, terms)
+        assert h.is_zero()
+
+
+def test_lincomb_fallback_matches_oracle():
+    rng = random.Random(8)
+    ctx2 = _packed_ctx("F2")
+    R = ctx2.ring
+    gs = GradedScalar.from_poly
+    f = _poly_series(ctx2, rng, 0, 8, 8)
+    g = _poly_series(ctx2, rng, -1, 6, 9, grade=(0, 1))
+    cases = [
+        # grades that differ between terms, through a scalar or a series
+        (ctx2, [(None, f, 0), (gs(R.theta, 1, 0), f, 1)]),
+        (ctx2, [(gs(R.t), f, 0), (None, g, 2)]),
+        # a fraction scalar
+        (ctx2, [(None, f, 0),
+                (GradedScalar.from_rat(RatFunc(R.one, R.t + R.theta)), f, 1)]),
+    ]
+    ctx3 = shared_context(3)         # odd characteristic
+    f3 = _poly_series(ctx3, rng, -1, 6, 6)
+    cases.append((ctx3, [(ctx3.gs(ctx3.ring.theta), f3, 1), (None, f3, -1)]))
+    ctx4 = shared_context(4)         # a tower over F_4
+    tower = Context(4, coeff_field=PolyExtField(
+        ctx4.base_field, (ctx4.base_field.gen(), ctx4.base_field.one)))
+    ft = _poly_series(tower, rng, 0, 5, 5)
+    cases.append((tower, [(tower.gs(tower.ring.t), ft, 0), (None, ft, 2)]))
+    for ctx, terms in cases:
+        _assert_lincomb(ctx, terms, packed=False)

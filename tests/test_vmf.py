@@ -1,15 +1,18 @@
 import pytest
 
 from carlitz_vmf.carlitz import carlitz_binomial
+from carlitz_vmf.context import Context
 from carlitz_vmf.errors import (CarlitzVMFError, NotInSpanError,
                                 NotIrreducibleError)
-from carlitz_vmf.forms import gen_goss_eis, gen_h
+from carlitz_vmf.forms import gen_E, gen_g, gen_goss_eis, gen_h
 from carlitz_vmf.polys import Poly, RatFunc
 from carlitz_vmf.scalars import GradedScalar
-from carlitz_vmf.useries import USeries
+from carlitz_vmf.serialize import canonical_dumps, series_to_json
+from carlitz_vmf.useries import USeries, u_scale
 from carlitz_vmf.vmf import (VMForm, chi_correction, det_pair, eis1, eis_k,
                              eis_q, hecke, lambda_1, lambda_q, legendre_fstar,
-                             structure_decompose, tau_vmf, untau_vmf)
+                             structure_decompose, tau_omega_inv, tau_vmf,
+                             untau_vmf)
 from conftest import shared_context
 
 
@@ -223,3 +226,79 @@ def test_hecke_image_precision(q, N, p, precs):
     T = hecke(ctx, p, e1)
     assert (T.h1.prec, T.h3.prec) == precs
     assert T.first_difference(e1.scale(ctx.gs(ctx.apoly(p)))) is None
+
+
+# -- the builders: term-by-term sums and one inverse per monic ------------------
+
+
+def _plain(ctx, terms, N):
+    """{n: sum of c f_m over the (c, f, k) in terms with m + k = n < N}, for
+    f a dict {m: f_m} and c a GradedScalar or None, by GradedScalar
+    arithmetic."""
+    out = {}
+    for c, f, k in terms:
+        for m, fm in f.items():
+            if m + k < N:
+                v = fm if c is None else c * fm
+                out[m + k] = out.get(m + k, ctx.gs_zero()) + v
+    return {n: v for n, v in out.items() if not v.is_zero()}
+
+
+def _plain_pow(ctx, S, e, N):
+    out = {0: ctx.gs_one()}
+    for _ in range(e):
+        out = _plain(ctx, [(c, S, n) for n, c in out.items()], N)
+    return out
+
+
+@pytest.mark.parametrize("q, N", [(2, 16), (3, 12), (4, 20)],
+                         ids=["q2", "q3", "q4"])
+def test_builders_match_term_by_term_sums(q, N):
+    """E, g, E1 and E_q equal their monic-indexed sums taken one term and
+    one coefficient at a time, byte for byte once serialized."""
+    ctx = Context(q)
+    one, monics = ctx.gs_one(), ctx.monics_below(N)
+    # u(a z) far enough that chi_correction(a) * u(a z) is known below N
+    S = {a: u_scale(ctx, a, 2 * N).c for a in monics}
+    Sq = {a: _plain_pow(ctx, S[a], q, 2 * N) for a in monics}
+    S_q1 = {a: _plain_pow(ctx, S[a], q - 1, N) for a in monics}
+    cc = {a: chi_correction(ctx, a).c for a in monics}
+    chi = {a: -ctx.gs(ctx.chi(a)) for a in monics}
+    E = _plain(ctx, [(ctx.gs(ctx.apoly(a)), S[a], 0) for a in monics], N)
+    g = _plain(ctx, [(None, {0: one}, 0)] + [
+        (-ctx.gs(ctx.D(1)), S_q1[a], 0) for a in monics], N)
+    e1_h1 = _plain(ctx, [(chi[a], S[a], 0) for a in monics], N)
+    e1_h3 = _plain(ctx, [(lambda_1(ctx), {0: one}, 0)] + [
+        (c, S[a], n) for a in monics for n, c in cc[a].items()], N)
+    eq_h1 = _plain(ctx, [(chi[a], Sq[a], 0) for a in monics], N)
+    eq_h3 = _plain(ctx, [(lambda_q(ctx), {0: one}, 0)] + [
+        (tau_omega_inv(ctx), S_q1[a], 0) for a in monics] + [
+        (c, Sq[a], n) for a in monics for n, c in cc[a].items()], N)
+    e1, eq = eis1(ctx, N), eis_q(ctx, N)
+    for built, plain in ((gen_E(ctx, N).series, E), (gen_g(ctx, N).series, g),
+                         (e1.h1, e1_h1), (e1.h3, e1_h3),
+                         (eq.h1, eq_h1), (eq.h3, eq_h3)):
+        assert canonical_dumps(series_to_json(built)) == \
+            canonical_dumps(series_to_json(USeries(ctx, plain, N)))
+
+
+@pytest.mark.parametrize("q, N, build", [
+    (2, 32, eis1),
+    (3, 12, eis_q),
+    (4, 40, lambda ctx, N: eis_k(ctx, 4, N)),
+    (3, 15, lambda ctx, N: eis_k(ctx, 5, N)),
+], ids=["eis1-q2", "eis_q-q3", "eis_k4-q4", "eis_k5-q3"])
+def test_one_inverse_per_monic(monkeypatch, q, N, build):
+    """u_scale is asked for the higher precision first, so a builder on a
+    fresh context inverts once per monic of degree >= 1 below N."""
+    calls = []
+    inverse = USeries.inverse
+
+    def counted(self, *args):
+        calls.append(self)
+        return inverse(self, *args)
+
+    monkeypatch.setattr(USeries, "inverse", counted)
+    ctx = Context(q)
+    build(ctx, N)
+    assert len(calls) == sum(1 for a in ctx.monics_below(N) if len(a) > 1)
