@@ -192,13 +192,7 @@ class Poly:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out, base = self.ring.one, self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _pow(self, n, self.ring.one)
 
     def monic(self):
         """Scale so the graded-lex leading coefficient is 1."""
@@ -349,6 +343,19 @@ class Poly:
             else:
                 out[k] = s
         return Poly(self.ring, out)
+
+
+def _pow(x, n: int, one):
+    """x^n for n >= 0, left to right from the top bit: no product by one,
+    and x^1 is x itself."""
+    if n == 0:
+        return one
+    out = x
+    for bit in bin(n)[3:]:
+        out = out * out
+        if bit == "1":
+            out = out * x
+    return out
 
 
 def _lucas_binom(m, n, p):

@@ -15,7 +15,7 @@ grades (a, b) = (pi-exponent, om-exponent) to rational functions.
 from __future__ import annotations
 
 from .errors import EvaluationPoleError, MixedGradeError, NotTauImageError
-from .polys import Poly, PolyRing, RatFunc
+from .polys import Poly, PolyRing, RatFunc, _pow
 
 
 class GradedScalar:
@@ -160,14 +160,7 @@ class GradedScalar:
     def __pow__(self, n):
         if n < 0:
             return self.inv() ** (-n)
-        out = GradedScalar.one(self.ring)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _pow(self, n, GradedScalar.one(self.ring))
 
     # -- twist -----------------------------------------------------------
 

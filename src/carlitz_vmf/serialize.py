@@ -93,11 +93,20 @@ def series_to_json(f: USeries):
 
 
 def series_from_json(ctx: Context, data) -> USeries:
-    return USeries(
-        ctx,
-        {n: scalar_from_json(ctx.ring, s) for n, s in data["coeffs"]},
-        data["prec"],
-    )
+    """The series of a coefficient list; refuses an exponent at or past
+    the precision, an exponent listed twice or a stored zero, which no
+    writer produces."""
+    prec = data["prec"]
+    c = {}
+    for n, s in data["coeffs"]:
+        if prec is not None and n >= prec:
+            raise ValueError(f"coefficient u^{n} stored at or past O(u^{prec})")
+        if n in c:
+            raise ValueError(f"exponent u^{n} listed twice")
+        if not s:
+            raise ValueError(f"zero coefficient stored at u^{n}")
+        c[n] = scalar_from_json(ctx.ring, s)
+    return USeries(ctx, c, prec)
 
 
 def classical_to_json(f: ClassicalForm):

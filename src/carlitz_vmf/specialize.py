@@ -14,10 +14,11 @@ import math
 from .context import Context
 from .errors import CarlitzVMFError, NotIrreducibleError
 from .fields import PolyExtField
-from .forms import ClassicalForm, express_in_gh, gen_E, gh_monomials
+from .forms import (ClassicalForm, a_expansion, express_in_gh, gen_E,
+                    gh_monomials)
 from .polys import Poly, RatFunc
 from .scalars import GradedScalar
-from .useries import USeries, scale_arg, trace_div, u_scale
+from .useries import USeries, scale_arg, trace_div
 from .vmf import VMForm, hecke
 
 
@@ -113,25 +114,18 @@ def eval_theta_power_vmf(H: VMForm, j: int):
 # -- congruences ----------------------------------------------------------------
 
 
-def _spec_E(rctx: RootContext, N: int) -> USeries:
-    """The weight-2 expansion sum a u(az) over the enlarged field."""
-    return gen_E(rctx.spec_ctx, N).series
-
-
-def _spec_f_zeta(rctx: RootContext, N: int) -> USeries:
-    """sum a(zeta) u(az) over the enlarged field."""
+def _a_of_zeta(rctx: RootContext, a) -> Poly:
+    """a(zeta) for a monic a over the enlarged field."""
     sctx = rctx.spec_ctx
-    out = USeries.zero(sctx, N)
-    for a in sctx.monics_below(N):
-        az = sctx.chi(a).subs_t_elt(sctx.ring, rctx.zeta_power, lambda x: x)
-        out = out + u_scale(sctx, a, N).scale(GradedScalar.from_poly(az))
-    return out
+    return sctx.chi(a).subs_t_elt(sctx.ring, rctx.zeta_power, lambda x: x)
 
 
 def congruence_check(rctx: RootContext, N: int) -> dict:
     """Coefficientwise divisibility of E - f_zeta by (theta - zeta)."""
     sctx = rctx.spec_ctx
-    diff = _spec_E(rctx, N) - _spec_f_zeta(rctx, N)
+    f_zeta = a_expansion(
+        sctx, lambda a: GradedScalar.from_poly(_a_of_zeta(rctx, a)), 1, N)
+    diff = gen_E(sctx, N).series - f_zeta
     bad = []
     for n, c in sorted(diff.c.items()):
         r = c.rational_part()
@@ -157,12 +151,8 @@ def vadic_check(rctx: RootContext, n: int, N: int) -> dict:
     sctx = rctx.spec_ctx
     q, d = rctx.ctx.q, rctx.degree
     M = q ** (n * d)
-    diff = USeries.zero(sctx, N)
-    for a in sctx.monics_below(N):
-        apoly = sctx.apoly(a)
-        azeta = sctx.chi(a).subs_t_elt(sctx.ring, rctx.zeta_power, lambda x: x)
-        coef = GradedScalar.from_poly(apoly ** M - azeta)
-        diff = diff + u_scale(sctx, a, N).scale(coef)
+    diff = a_expansion(sctx, lambda a: GradedScalar.from_poly(
+        sctx.apoly(a) ** M - _a_of_zeta(rctx, a)), 1, N)
     lin = sctx.ring.theta - sctx.ring.const(rctx.zeta_power)
     divisor = lin ** M
     bad = []

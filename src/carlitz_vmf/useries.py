@@ -28,7 +28,7 @@ import math
 from .carlitz import goss_poly, period_lattice, torsion_lattice
 from .context import Context
 from .errors import MixedGradeError, PrecisionError
-from .polys import RatFunc, _f2_packer
+from .polys import RatFunc, _f2_packer, _lucas_binom, _pow
 from .scalars import GradedScalar, eval_root, eval_theta_power
 
 
@@ -84,9 +84,6 @@ class USeries:
         if self.prec is not None and n >= self.prec:
             raise PrecisionError(f"coefficient u^{n} beyond truncation {self.prec}")
         return self.c.get(n, GradedScalar.zero(self.ctx.ring))
-
-    def support(self):
-        return sorted(self.c)
 
     def truncate(self, prec: int):
         new = prec if self.prec is None else min(self.prec, prec)
@@ -225,14 +222,7 @@ class USeries:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        out = USeries.one(self.ctx)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _pow(self, n, USeries.one(self.ctx))
 
     # -- comparisons ------------------------------------------------------------
 
@@ -595,72 +585,30 @@ def trace_div(f: USeries, p) -> USeries:
     return USeries(ctx, out, prec_out)
 
 
+def _binom_neg(m: int, r: int, p: int) -> int:
+    """binomial(-m, r) mod p."""
+    if m > 0:
+        return (-1) ** r * _lucas_binom(m + r - 1, r, p) % p
+    return _lucas_binom(-m, r, p)
+
+
 def dz(f: USeries, n: int) -> USeries:
     """n-th divided-power derivative in z of a u-expansion.
 
-    Works through the additive expansion of u(z + eps): with ehat = pi*eps,
-    u(z + eps) = sum_{k>=1} (-1)^(k-1) G_k(u) ehat^(k-1).  The output
-    carries the period grade pi^n.
+    With ehat = pi*eps and e the period-lattice exponential,
+    1/u(z + eps) = 1/u + e(ehat), so u(z + eps)^m = u^m (1 + u e(ehat))^(-m),
+    and the ehat^n coefficient of e(ehat)^r is [X^(r+1)]G_(n+1).  Hence
+        D^(n) f = pi^n sum_r [X^(r+1)]G_(n+1) u^r sum_m binom(-m, r) c_m u^m,
+    where r >= 1 for n >= 1: the unknown tail of f moves up at least one
+    order, so the output is known to f.prec + 1 (exact stays exact).
     """
-    ctx = f.ctx
     if n == 0:
         return f
-    L = period_lattice(ctx)
-    u = USeries.u(ctx)
-    U = [goss_series(ctx, L, k + 1, u).scale(ctx.gs_int((-1) ** k))
-         for k in range(n + 1)]
-
-    def emul(A, B):
-        out = [USeries.zero(ctx, None) for _ in range(n + 1)]
-        for i, ai in enumerate(A):
-            if ai.is_zero() and ai.prec is None:
-                continue
-            for j, bj in enumerate(B):
-                if i + j > n:
-                    break
-                out[i + j] = out[i + j] + ai * bj
-        return out
-
-    def epow(A, m):
-        out = [USeries.one(ctx)] + [USeries.zero(ctx, None)] * n
-        base = A
-        while m:
-            if m & 1:
-                out = emul(out, base)
-            base = emul(base, base)
-            m >>= 1
-        return out
-
-    # inverse of U: U = u * (1 + W) with W[0] = 0
-    uinv = USeries.monomial(ctx, -1)
-    W = [USeries.zero(ctx, None)] + [Uk * uinv for Uk in U[1:]]
-    Vinv = [USeries.one(ctx)] + [USeries.zero(ctx, None)] * n
-    prev = [USeries.one(ctx)] + [USeries.zero(ctx, None)] * n
-    for _ in range(n):
-        prev = emul(prev, [(-w) for w in W])
-        Vinv = [a + b for a, b in zip(Vinv, prev)]
-    Uinv = [v * uinv for v in Vinv]
-
-    exps = sorted(f.c, reverse=True)
-    acc = [USeries.const(ctx, f.c[exps[0]])] + [USeries.zero(ctx, None)] * n
-    pows: dict = {}
-
-    def Upow(k):
-        if k not in pows:
-            pows[k] = epow(U, k)
-        return pows[k]
-
-    for i in range(1, len(exps)):
-        gap = exps[i - 1] - exps[i]
-        acc = emul(acc, Upow(gap))
-        acc[0] = acc[0] + USeries.const(ctx, f.c[exps[i]])
-    n0 = exps[-1]
-    if n0 > 0:
-        acc = emul(acc, Upow(n0))
-    elif n0 < 0:
-        acc = emul(acc, epow(Uinv, -n0))
-    out = acc[n]
-    if f.prec is not None:
-        out = out.truncate(f.prec + 1)
-    pi_n = GradedScalar(ctx.ring, {(n, 0): ctx.gs_one().rational_part()})
-    return out.scale(pi_n)
+    ctx = f.ctx
+    terms = []
+    for x, c in goss_poly(ctx, period_lattice(ctx), n + 1).coeffs.items():
+        r = x - 1
+        fr = {m: cm if b == 1 else cm * ctx.gs_int(b) for m, cm in f.c.items()
+              if (b := _binom_neg(m, r, ctx.p))}
+        terms.append((GradedScalar.from_rat(c, n), USeries(ctx, fr, f.prec), r))
+    return USeries.lincomb(ctx, terms, None if f.prec is None else f.prec + 1)

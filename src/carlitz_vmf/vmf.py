@@ -24,8 +24,8 @@ from .carlitz import b_poly_twist, goss_poly, period_lattice, zeta_ratio
 from .context import Context
 from .errors import (CarlitzVMFError, NotInSpanError, NotIrreducibleError,
                      PrecisionError)
-from .forms import (ClassicalForm, express_in_gh, gen_Delta, gen_g, gen_goss_eis,
-                    gen_h, gh_monomials)
+from .forms import (ClassicalForm, a_expansion, express_in_gh, gen_Delta, gen_g,
+                    gen_goss_eis, gen_h, gh_monomials)
 from .polys import Poly, RatFunc
 from .scalars import GradedScalar
 from .useries import (USeries, goss_series, quotients, scale_arg, trace_div,
@@ -374,12 +374,9 @@ def eis_k(ctx: Context, k: int, N: int) -> VMForm:
 
     def build():
         q = ctx.q
-        L = period_lattice(ctx)
         e1 = eis1(ctx, N)
         eq = eis_q(ctx, N)
-        h1 = USeries.lincomb(ctx, [
-            (-ctx.gs(ctx.chi(a)), goss_series(ctx, L, k, u_scale(ctx, a, N)), 0)
-            for a in ctx.monics_below(N)], N)
+        h1 = a_expansion(ctx, lambda a: -ctx.gs(ctx.chi(a)), k, N)
         pairs_F = gh_monomials(ctx, k - 1, 0)
         pairs_G = gh_monomials(ctx, k - q, 0) if k >= q else []
         gN = gen_g(ctx, N)

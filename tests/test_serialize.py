@@ -152,6 +152,28 @@ def test_non_canonical_fractions_are_refused(q):
             ser.scalar_from_json(R, data)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4], ids=lambda q: f"q{q}")
+def test_non_canonical_series_are_refused(q):
+    ctx = shared_context(q)
+    one = ser.scalar_to_json(ctx.gs_one())
+    theta = ser.scalar_to_json(ctx.gs(ctx.ring.theta))
+    good = {"prec": 5, "coeffs": [[-1, one], [4, theta]]}
+    back = ser.series_from_json(ctx, good)
+    assert ser.series_to_json(back) == good
+    exact = {"prec": None, "coeffs": [[7, one]]}
+    assert ser.series_to_json(ser.series_from_json(ctx, exact)) == exact
+    for data in (
+        {"prec": 5, "coeffs": [[-1, one], [5, theta]]},   # at the precision
+        {"prec": 5, "coeffs": [[9, one]]},                # past it
+        {"prec": 5, "coeffs": [[2, one], [2, theta]]},    # exponent twice
+        {"prec": None, "coeffs": [[2, theta], [2, theta]]},
+        {"prec": 5, "coeffs": [[1, one], [3, []]]},       # stored zero
+        {"prec": None, "coeffs": [[0, []]]},
+    ):
+        with pytest.raises(ValueError):
+            ser.series_from_json(ctx, data)
+
+
 def test_envelope_validation(ctx):
     e1 = eis1(ctx, 6)
     env = ser.envelope(ctx, "vmform", 6, ser.vmform_to_json(e1))

@@ -7,7 +7,8 @@ from carlitz_vmf import useries
 from carlitz_vmf.context import Context
 from carlitz_vmf.errors import (MixedGradeError, NotTauImageError,
                                 PrecisionError)
-from carlitz_vmf.forms import gen_E, gen_g, gen_h
+from carlitz_vmf.forms import (ClassicalForm, gen_E, gen_g, gen_h,
+                               ramanujan_serre)
 from carlitz_vmf.fields import GF, PolyExtField
 from carlitz_vmf.polys import Poly, RatFunc, _f2_packer
 from carlitz_vmf.scalars import GradedScalar
@@ -119,6 +120,84 @@ def test_dz_second_order_leibniz(ctx3):
     lhs = dz(f * g, 2)
     rhs = dz(f, 2) * g + dz(f, 1) * dz(g, 1) + f * dz(g, 2)
     assert lhs.eq_to_prec(rhs)
+
+
+def _rand_graded_laurent(ctx, rng, lo, hi, prec):
+    """A Laurent series whose coefficients are fractions of random grades."""
+    c = {}
+    for _ in range(6):
+        num = Poly(ctx.ring, {(rng.randrange(3), rng.randrange(2)):
+                              ctx.ring.field.from_int(1 + rng.randrange(ctx.p - 1))})
+        den = ctx.ring.theta + ctx.ring.one if rng.randrange(2) else ctx.ring.one
+        grade = (rng.randrange(-1, 2), rng.randrange(-1, 2))
+        c[rng.randrange(lo, hi)] = GradedScalar(ctx.ring, {grade: RatFunc(num, den)})
+    return USeries(ctx, c, prec)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5], ids=lambda q: f"q{q}")
+def test_dz_composition_rule(q):
+    # D^(j) D^(i) = C(i+j, i) D^(i+j) for divided-power derivatives
+    ctx = shared_context(q)
+    rng = random.Random(40 + q)
+    N = 2 * q + 4
+    for f in (_rand_graded_laurent(ctx, rng, -3, N, N),
+              _rand_graded_laurent(ctx, rng, 0, N, N),
+              gen_g(ctx, N).series):
+        for i in range(1, q + 2):
+            di = dz(f, i)
+            assert di.prec == f.prec + 1
+            for j in range(1, q + 3 - i):
+                lhs = dz(di, j)
+                assert lhs.prec == f.prec + 2
+                binom = ctx.gs_int(math.comb(i + j, i))
+                rhs = dz(f, i + j).scale(binom)
+                assert lhs.eq_to_prec(rhs, at_least=f.prec + 1)
+
+
+def test_dz_of_zero_series(ctx):
+    for n in (1, 2, ctx.q + 1):
+        d = dz(USeries.zero(ctx, 10), n)
+        assert d.is_zero() and d.prec == 11
+        d = dz(USeries.zero(ctx), n)
+        assert d.is_zero() and d.prec is None
+    # an inner derivative that vanishes: D^(1) of a constant
+    assert dz(dz(USeries.one(ctx, 6), 1), 1).prec == 8
+    zero = ClassicalForm(ctx, ctx.q - 1, 0, USeries.zero(ctx, 8))
+    h = ramanujan_serre(ctx, zero)
+    assert h.series.is_zero() and h.series.prec >= 8
+    assert h.weight == ctx.q + 1
+
+
+def _pow_cases(ctx):
+    rng = random.Random(60 + ctx.q)
+    return [
+        _rand_series(ctx, rng, 9),                       # truncated
+        _rand_laurent(ctx, rng, 0, 5, None),             # exact
+        _rand_graded_laurent(ctx, rng, -2, 6, 6),        # negative valuation
+        USeries.zero(ctx, 4),                            # zero, finite prec
+        USeries.zero(ctx),
+    ]
+
+
+def test_pow_matches_repeated_product(ctx, monkeypatch):
+    for f in _pow_cases(ctx):
+        prod = USeries.one(ctx)
+        for n in range(10):
+            got = f ** n
+            assert got.c == prod.c and got.prec == prod.prec, (f, n)
+            prod = prod * f
+    # left to right from the top bit: f^1 is f, and no product by one
+    calls = []
+    mul = USeries.__mul__
+    monkeypatch.setattr(USeries, "__mul__",
+                        lambda a, b: calls.append(1) or mul(a, b))
+    f = _pow_cases(ctx)[0]
+    assert f ** 1 is f and not calls
+    for n in range(2, 10):
+        calls.clear()
+        f ** n
+        assert len(calls) == n.bit_length() + bin(n).count("1") - 2
+    assert (f ** 0).c == {0: ctx.gs_one()} and (f ** 0).prec is None
 
 
 def test_dt_series(ctx):
