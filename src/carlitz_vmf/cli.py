@@ -20,9 +20,8 @@ from .context import Context
 from .errors import PrecisionError
 from .forms import (gen_Delta, gen_E, gen_fs, gen_g, gen_goss_eis, gen_h,
                     para_eisenstein)
-from .useries import USeries, scale_arg, trace_div
 from .verify import SUITES, run_suite
-from .vmf import eis1, eis_k, eis_q, hecke, legendre_fstar
+from .vmf import eis1, eis_k, hecke, legendre_fstar
 
 
 def parse_prime(ctx: Context, text: str):
@@ -106,11 +105,19 @@ def _read_cached(path: str):
     return text
 
 
-def cmd_compute(args) -> int:
+def _context(args):
+    """The Context of --q or --p/--e, or None after printing the error when
+    the field is not valid."""
     try:
-        ctx = Context(q=args.q) if args.q else Context(p=args.p, e=args.e)
+        return Context(q=args.q) if args.q else Context(p=args.p, e=args.e)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return None
+
+
+def cmd_compute(args) -> int:
+    ctx = _context(args)
+    if ctx is None:
         return 2
     N = args.trunc
     selector = args.form
@@ -159,10 +166,8 @@ def _run_one(item):
 
 
 def cmd_verify(args) -> int:
-    try:
-        ctx = Context(q=args.q) if args.q else Context(p=args.p, e=args.e)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    ctx = _context(args)
+    if ctx is None:
         return 2
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     for n in names:
@@ -214,10 +219,8 @@ def cmd_bench(args) -> int:
     """Time E1, E1*E1 and T_theta E1 on the default (q, N) grid, or on the
     one row that --q (or --p/--e) and --trunc select."""
     if args.q or args.p:
-        try:
-            ctx = Context(q=args.q) if args.q else Context(p=args.p, e=args.e)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+        ctx = _context(args)
+        if ctx is None:
             return 2
         grid = [(ctx, BENCH_GRID.get(ctx.q))]
     else:

@@ -9,6 +9,7 @@ with the coefficient field enlarged to F_{q^d}.
 from __future__ import annotations
 
 import functools
+from itertools import product
 
 from .fields import GF, PolyExtField, field_from_order
 from .polys import Poly, PolyRing, RatFunc, _univar_gcd
@@ -82,17 +83,7 @@ class Context:
         def build():
             base = self.base_field
             elems = sorted(base.elements(), key=base.digits)
-            out = []
-
-            def rec(prefix):
-                if len(prefix) == d:
-                    out.append(tuple(prefix) + (base.one,))
-                    return
-                for c in elems:
-                    rec(prefix + [c])
-
-            rec([])
-            return tuple(out)
+            return tuple(v + (base.one,) for v in product(elems, repeat=d))
 
         return self.memo(("monics", d), build)
 
@@ -111,18 +102,11 @@ class Context:
             base = self.base_field
             elems = sorted(base.elements(), key=base.digits)
             out = []
-
-            def rec(prefix):
-                if len(prefix) == d:
-                    tup = tuple(prefix)
-                    while len(tup) > 0 and tup[-1] == base.zero:
-                        tup = tup[:-1]
-                    out.append(tup)
-                    return
-                for c in elems:
-                    rec(prefix + [c])
-
-            rec([])
+            for v in product(elems, repeat=d):
+                n = d
+                while n and v[n - 1] == base.zero:
+                    n -= 1
+                out.append(v[:n])
             return tuple(out)
 
         return self.memo(("poly_space", d), build)

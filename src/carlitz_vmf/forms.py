@@ -10,9 +10,7 @@ cross-checked elsewhere against its own monic-indexed expansion.
 
 from __future__ import annotations
 
-import math
-
-from .carlitz import goss_poly, period_lattice, zeta_ratio
+from .carlitz import period_lattice, zeta_ratio
 from .context import Context
 from .errors import NotInSpanError, NotIrreducibleError, PrecisionError
 from .polys import Poly, RatFunc
@@ -234,14 +232,46 @@ def gh_monomials(ctx: Context, weight: int, type_: int):
     return out
 
 
-def _monomial_series(ctx, pairs, N):
-    g = gen_g(ctx, N)
-    h = gen_h(ctx, N)
-    out = []
-    for (al, be) in pairs:
-        s = g.series ** al * h.series ** be if (al or be) else USeries.one(ctx, N)
-        out.append(s.truncate(N))
-    return out
+def gh_basis(ctx: Context, pairs, N: int) -> list:
+    """The monomials g^alpha h^beta for the (alpha, beta) in pairs, to O(u^N)."""
+    g = gen_g(ctx, N).series
+    h = gen_h(ctx, N).series
+    return [(g ** al * h ** be).truncate(N) if (al or be) else USeries.one(ctx, N)
+            for (al, be) in pairs]
+
+
+def solve_in_span(ctx: Context, basis, series: USeries) -> list:
+    """Coefficients c_i with sum c_i basis_i = series below series.prec,
+    one per basis series, free variables zero.
+
+    The basis series are read through their rational (grade (0,0)) parts,
+    and each grade of the series is solved on its own by exact
+    elimination.  Raises NotInSpanError, with the residual series, when no
+    combination matches the series to its precision.
+    """
+    N = series.prec
+    zero = GradedScalar.zero(ctx.ring)
+    lo = min(min((b.val() for b in basis), default=0), series.val() if series.c else 0)
+    rows = range(int(lo), N)
+    mat = [[b.c.get(n, zero).rational_part() for b in basis] for n in rows]
+    grades = set().union(*(c.grades() for c in series.c.values())) or {(0, 0)}
+    solution = [zero] * len(basis)
+    residual: dict = {}
+    for grade in sorted(grades):
+        rhs = [series.c.get(n, zero).grade_part(*grade) for n in rows]
+        sol = _gauss_pivot_solution(ctx, mat, rhs)
+        for n, row, acc in zip(rows, mat, rhs):
+            for m, s in zip(row, sol):
+                if not m.is_zero() and not s.is_zero():
+                    acc = acc - m * s
+            if not acc.is_zero():
+                residual[n] = residual.get(n, zero) + GradedScalar.from_rat(acc, *grade)
+        solution = [c if s.is_zero() else c + GradedScalar.from_rat(s, *grade)
+                    for c, s in zip(solution, sol)]
+    if residual:
+        raise NotInSpanError("series is not in the span to its precision",
+                             residual=USeries(ctx, residual, N))
+    return solution
 
 
 def express_in_gh(ctx: Context, f: ClassicalForm) -> dict:
@@ -263,39 +293,8 @@ def express_in_gh(ctx: Context, f: ClassicalForm) -> dict:
                              residual=series)
     if N <= len(pairs):
         raise PrecisionError(f"truncation {N} must exceed {len(pairs)} monomials")
-    basis = _monomial_series(ctx, pairs, N)
-    lo = min(min((b.val() for b in basis), default=0), series.val() if series.c else 0)
-    rows = list(range(int(lo), N))
-    grades = set()
-    for c in series.c.values():
-        grades |= c.grades()
-    if not grades:
-        grades = {(0, 0)}
-    solution = {pair: GradedScalar.zero(ctx.ring) for pair in pairs}
-    mat = [[b.c.get(n, GradedScalar.zero(ctx.ring)).rational_part() for b in basis]
-           for n in rows]
-    residual: dict = {}
-    for grade in sorted(grades):
-        rhs = [series.c.get(n, GradedScalar.zero(ctx.ring)).grade_part(*grade)
-               for n in rows]
-        sol = _gauss_pivot_solution(ctx, mat, rhs)
-        for row_i, n in enumerate(rows):
-            acc = rhs[row_i]
-            for c in range(len(pairs)):
-                if not mat[row_i][c].is_zero() and not sol[c].is_zero():
-                    acc = acc - mat[row_i][c] * sol[c]
-            if not acc.is_zero():
-                cur = residual.get(n, GradedScalar.zero(ctx.ring))
-                residual[n] = cur + GradedScalar.from_rat(acc, *grade)
-        for pair, cval in zip(pairs, sol):
-            if not cval.is_zero():
-                solution[pair] = solution[pair] + GradedScalar.from_rat(cval, *grade)
-    if residual:
-        raise NotInSpanError(
-            "series is not in the g,h span to its precision",
-            residual=USeries(ctx, residual, N),
-        )
-    return {pair: s for pair, s in solution.items() if not s.is_zero()}
+    sol = solve_in_span(ctx, gh_basis(ctx, pairs, N), series)
+    return {pair: c for pair, c in zip(pairs, sol) if not c.is_zero()}
 
 
 def _gauss_pivot_solution(ctx, mat, rhs):

@@ -9,13 +9,11 @@ specialized side unchanged.
 
 from __future__ import annotations
 
-import math
-
 from .context import Context
-from .errors import CarlitzVMFError, NotIrreducibleError
+from .errors import (CarlitzVMFError, NotInSpanError, NotIrreducibleError,
+                     PrecisionError)
 from .fields import PolyExtField
-from .forms import (ClassicalForm, a_expansion, express_in_gh, gen_E,
-                    gh_monomials)
+from .forms import ClassicalForm, a_expansion, express_in_gh, gen_E
 from .polys import Poly, RatFunc
 from .scalars import GradedScalar
 from .useries import USeries, scale_arg, trace_div
@@ -105,7 +103,7 @@ def eval_theta_power_vmf(H: VMForm, j: int):
         try:
             info["gh_expression"] = express_in_gh(ctx, form)
             info["is_modular"] = True
-        except Exception as exc:  # NotInSpanError or PrecisionError
+        except (NotInSpanError, PrecisionError) as exc:
             info["is_modular"] = False
             info["error"] = str(exc)
     return eta1, eta3, info
@@ -205,46 +203,39 @@ def hecke_compat_check(H: VMForm, p, rctx: RootContext, n: int) -> dict:
     lhs = TH.h1.dt(n - 1)
     P = int(min(lhs._p(), H.h1._p()))
 
-    rhs = trace_div(H.h1.dt(n - 1), p)
-    for j in range(n):
-        cj = chi_p.hyperderiv_t(j)
-        if cj.is_zero():
-            continue
-        term = scale_arg(H.h1.dt(n - 1 - j), p, P)
-        rhs = rhs + term.scale(GradedScalar.from_poly(pk * cj))
-    pre_ok = lhs.eq_to_prec(rhs)
-    pre_diff = lhs.first_difference(rhs)
-
-    # specialized side
     sctx = rctx.spec_ctx
     ev = lambda f: f.eval_root(rctx)
-    lhs_s = ev(lhs)
-    p_emb = tuple(p)
-    hecke_spec = trace_div(ev(H.h1.dt(n - 1)), p_emb)
-    if coprime:
-        for j in range(n):
+
+    def chi_sum(acc, j0, spec):
+        """acc plus the sum over j0 <= j < n of p^k d_t^(j) chi(p) times
+        (d_t^(n-1-j) h1)(p z), all evaluated at the root when spec is set."""
+        for j in range(j0, n):
             cj = chi_p.hyperderiv_t(j)
             if cj.is_zero():
                 continue
-            cj_val = cj.subs_t_elt(sctx.ring, rctx.zeta_power, rctx.embed)
-            term = scale_arg(ev(H.h1.dt(n - 1 - j)), p_emb, P)
-            pk_s = sctx.apoly(p) ** k
-            hecke_spec = hecke_spec + term.scale(
-                GradedScalar.from_poly(pk_s * cj_val))
+            f = H.h1.dt(n - 1 - j)
+            c = pk * cj
+            if spec:
+                f = ev(f)
+                c = sctx.apoly(p) ** k * cj.subs_t_elt(sctx.ring, rctx.zeta_power,
+                                                       rctx.embed)
+            acc = acc + scale_arg(f, p, P).scale(GradedScalar.from_poly(c))
+        return acc
+
+    rhs = chi_sum(trace_div(H.h1.dt(n - 1), p), 0, False)
+    pre_diff = lhs.first_difference(rhs)
+    pre_ok = pre_diff is None
+
+    # specialized side
+    lhs_s = ev(lhs)
+    hecke_spec = trace_div(ev(H.h1.dt(n - 1)), p)
+    if coprime:
+        hecke_spec = chi_sum(hecke_spec, 0, True)
         post_ok = lhs_s.eq_to_prec(hecke_spec)
-        correction = USeries.zero(sctx)
         corr_matches = True
     else:
         correction = lhs_s - hecke_spec
-        expected = USeries.zero(sctx, correction.prec)
-        for j in range(1, n):
-            cj = chi_p.hyperderiv_t(j)
-            if cj.is_zero():
-                continue
-            cj_val = cj.subs_t_elt(sctx.ring, rctx.zeta_power, rctx.embed)
-            term = scale_arg(ev(H.h1.dt(n - 1 - j)), p_emb, P)
-            pk_s = sctx.apoly(p) ** k
-            expected = expected + term.scale(GradedScalar.from_poly(pk_s * cj_val))
+        expected = chi_sum(USeries.zero(sctx, correction.prec), 1, True)
         corr_matches = correction.eq_to_prec(expected)
         post_ok = corr_matches
     return {

@@ -12,19 +12,18 @@ payloads, which stringify exact scalars.
 
 from __future__ import annotations
 
-import math
 import random
 
-from .carlitz import goss_poly, period_lattice, torsion_lattice, zeta_ratio
+from .carlitz import goss_poly, period_lattice, zeta_ratio
 from .context import Context
-from .errors import CarlitzVMFError, NotInSpanError, PrecisionError
-from .forms import (ClassicalForm, express_in_gh, gen_Delta, gen_E, gen_fs,
-                    gen_g, gen_goss_eis, gen_h, gen_h_a_expansion,
-                    para_eisenstein, ramanujan_serre, w_involution_check)
+from .errors import CarlitzVMFError, PrecisionError
+from .forms import (ClassicalForm, a_expansion, gen_Delta, gen_E, gen_fs,
+                    gen_g, gen_goss_eis, gen_h, gen_h_a_expansion, gh_basis,
+                    gh_monomials, para_eisenstein, ramanujan_serre)
 from .polys import Poly, RatFunc
 from .scalars import GradedScalar, eval_theta_power
-from .useries import USeries, dz, goss_series, scale_arg, trace_div, u_scale
-from .vmf import (VMForm, det_pair, eis1, eis_k, eis_q, hecke, lambda_1,
+from .useries import USeries, dz, goss_series, trace_div, u_scale
+from .vmf import (compose_structure, det_pair, eis1, eis_k, eis_q, hecke,
                   lambda_q, legendre_fstar, structure_decompose, tau_omega_inv,
                   tau_vmf)
 
@@ -49,6 +48,13 @@ def _report(suite, q, N, checks, asserting=True):
 def _chk(checks, name, ok, detail=None):
     checks.append({"name": name, "ok": bool(ok), "detail": detail})
     return ok
+
+
+def _chk_same(checks, name, got, want):
+    """Check that got equals want to their common precision; the detail
+    names the first coefficient where they differ."""
+    d = got.first_difference(want)
+    return _chk(checks, name, d is None, _fmt_diff(d))
 
 
 def _fmt_diff(diff):
@@ -96,16 +102,10 @@ def suite_generators(q: int, N: int = 60, *, checks: list) -> dict:
     h = gen_h(ctx, N)
     _chk(checks, "h leading coefficient -1",
          h.series.val() == 1 and h.series.coeff(1) == -one)
-    h2 = gen_h_a_expansion(ctx, N)
-    d = h.series.first_difference(h2.series)
-    _chk(checks, "h: derivation route == monic-indexed route", d is None,
-         detail=_fmt_diff(d))
-
-    Delta = gen_Delta(ctx, N)
-    rhs = -(h.series ** (q - 1))
-    d = Delta.series.first_difference(rhs)
-    _chk(checks, "Delta == -h^(q-1)", d is None and Delta.series.eq_to_prec(rhs),
-         detail=_fmt_diff(d))
+    _chk_same(checks, "h: derivation route == monic-indexed route", h.series,
+              gen_h_a_expansion(ctx, N).series)
+    _chk_same(checks, "Delta == -h^(q-1)", gen_Delta(ctx, N).series,
+              -(h.series ** (q - 1)))
     return _report("generators", q, N, checks)
 
 
@@ -117,9 +117,8 @@ def suite_det(q: int, N: int = 40, *, checks: list) -> dict:
     e1 = eis1(ctx, N)
     eqf = eis_q(ctx, N)
     det = det_pair(e1, eqf)
-    expect = gen_h(ctx, N).series.scale(lambda_q(ctx))
-    d = det.series.first_difference(expect)
-    _chk(checks, "det[E1, tau E1] == lambda_q * h", d is None, _fmt_diff(d))
+    _chk_same(checks, "det[E1, tau E1] == lambda_q * h", det.series,
+              gen_h(ctx, N).series.scale(lambda_q(ctx)))
     _chk(checks, "determinant weight/type",
          (det.weight, det.type_) == (q + 1, 1 % max(q - 1, 1)))
     for k in (q, 2 * q - 1):
@@ -153,10 +152,8 @@ def suite_tau_difference(q: int, N: int = 40, kmax: int = 3,
     DeltaB = Delta.series.scale(bracket)
     gq = g.series ** q
     for coord in ("h1", "h3"):
-        lhs = getattr(ttY, coord)
-        rhs = getattr(Y, coord) * DeltaB + getattr(tY, coord) * gq
-        d = lhs.first_difference(rhs)
-        _chk(checks, f"difference equation on {coord}", d is None, _fmt_diff(d))
+        _chk_same(checks, f"difference equation on {coord}", getattr(ttY, coord),
+                  getattr(Y, coord) * DeltaB + getattr(tY, coord) * gq)
 
     # matrix recursion: tau^k(E*) = E* B tau(B) ... tau^(k-1)(B)
     B = [[USeries.zero(ctx), DeltaB],
@@ -211,15 +208,11 @@ def suite_hecke_eigen(q: int, N: int | None = None, primes=None,
     hf = fstar.mul_classical(gen_h(ctx, N))
     for p in primes:
         ppol = ctx.apoly(p)
-        T = hecke(ctx, p, e1)
-        d = T.first_difference(e1.scale(ctx.gs(ppol)))
-        _chk(checks, f"T_p E1 = p E1 at p={p}", d is None, _fmt_diff(d))
-        T = hecke(ctx, p, eqf)
-        d = T.first_difference(eqf.scale(ctx.gs(ppol ** q)))
-        _chk(checks, f"T_p Eq = p^q Eq at p={p}", d is None, _fmt_diff(d))
-        T = hecke(ctx, p, hf)
-        d = T.first_difference(hf.scale(ctx.gs(ppol)))
-        _chk(checks, f"T_p(h F*) = p h F* at p={p}", d is None, _fmt_diff(d))
+        for name, H, eigen in (("T_p E1 = p E1", e1, ppol),
+                               ("T_p Eq = p^q Eq", eqf, ppol ** q),
+                               ("T_p(h F*) = p h F*", hf, ppol)):
+            _chk_same(checks, f"{name} at p={p}", hecke(ctx, p, H),
+                      H.scale(ctx.gs(eigen)))
     return _report("hecke-eigen", q, N, checks)
 
 
@@ -233,18 +226,14 @@ def suite_hecke_mult_tau(q: int, N: int | None = None,
     e1 = eis1(ctx, N)
     both = hecke(ctx, p1, hecke(ctx, p2, e1))
     swap = hecke(ctx, p2, hecke(ctx, p1, e1))
-    expect = e1.scale(ctx.gs(ctx.apoly(p1) * ctx.apoly(p2)))
-    d = both.first_difference(expect)
-    _chk(checks, "T_p T_q E1 = pq E1", d is None, _fmt_diff(d))
-    d = both.first_difference(swap)
-    _chk(checks, "T_p T_q = T_q T_p on E1", d is None, _fmt_diff(d))
+    _chk_same(checks, "T_p T_q E1 = pq E1", both,
+              e1.scale(ctx.gs(ctx.apoly(p1) * ctx.apoly(p2))))
+    _chk_same(checks, "T_p T_q = T_q T_p on E1", both, swap)
     fstar, _, _ = legendre_fstar(ctx, N)
     hf = fstar.mul_classical(gen_h(ctx, N))
     for name, H in (("E1", e1), ("hF*", hf)):
-        lhs = tau_vmf(hecke(ctx, p1, H))
-        rhs = hecke(ctx, p1, tau_vmf(H))
-        d = lhs.first_difference(rhs)
-        _chk(checks, f"tau T_p = T_p tau on {name}", d is None, _fmt_diff(d))
+        _chk_same(checks, f"tau T_p = T_p tau on {name}",
+                  tau_vmf(hecke(ctx, p1, H)), hecke(ctx, p1, tau_vmf(H)))
     return _report("hecke-mult-tau", q, N, checks)
 
 
@@ -292,12 +281,10 @@ def suite_legendre(q: int, N: int = 64, *, checks: list) -> dict:
     inner = d2 + (d2 - g * d2.tau()).scale(
         ctx.gs_rat(RatFunc(ctx.ring.one, ctx.ring.t - tq))).shift(-(q - 1))
     psi = inner.shift(-1).scale(tau_omega_inv(ctx))
-    lhs = d3
     rhs = (Delta * d3.tau().tau()).scale(ctx.gs(ctx.ring.t - tq)) \
         + g * d3.tau() + psi
-    d = lhs.first_difference(rhs)
-    _chk(checks, "d3 = (t-theta^q) Delta tau^2(d3) + g tau(d3) + psi",
-         d is None, _fmt_diff(d))
+    _chk_same(checks, "d3 = (t-theta^q) Delta tau^2(d3) + g tau(d3) + psi",
+              d3, rhs)
 
     # psi's displayed leading expansion:
     # coefficients are tau(om)^{-1} * {theta-t, 1, theta-theta^q}
@@ -324,12 +311,8 @@ def suite_eis_aexp(q: int, N: int = 24, *, checks: list) -> dict:
     _chk(checks, "weight 1 route equals the direct series",
          ek1.h1.eq_to_prec(e1.h1) and ek1.h3.eq_to_prec(e1.h3))
     ekq = eis_k(ctx, q, N)
-    d = ekq.first_difference(eqf)
-    _chk(checks, "weight q route equals the twisted series", d is None,
-         _fmt_diff(d))
-    d = ekq.first_difference(tau_vmf(e1))
-    _chk(checks, "weight q route equals tau of weight 1", d is None,
-         _fmt_diff(d))
+    _chk_same(checks, "weight q route equals the twisted series", ekq, eqf)
+    _chk_same(checks, "weight q route equals tau of weight 1", ekq, tau_vmf(e1))
     _chk(checks, "lambda_q reproduced", ekq.lam == lambda_q(ctx),
          detail=f"got {ekq.lam}")
     k = 2 * q - 1
@@ -357,19 +340,14 @@ def suite_specialize_petrov(q: int, N: int | None = None,
     e1 = eis1(ctx, N)
     for dd in (1, 2):
         s = (q ** dd - 1) // (q - 1)
-        eta1 = e1.h1.eval_theta_power(dd)
-        fs = gen_fs(ctx, s, N)
-        d = eta1.first_difference(-fs.series)
-        _chk(checks, f"ev at theta^(q^{dd}) of h1 equals -f_{s}", d is None,
-             _fmt_diff(d))
+        _chk_same(checks, f"ev at theta^(q^{dd}) of h1 equals -f_{s}",
+                  e1.h1.eval_theta_power(dd), -gen_fs(ctx, s, N).series)
         eta3 = e1.h3.eval_theta_power(dd)
         _chk(checks, f"eta3 vanishes at j={dd} (q^j > k)", eta3.is_zero(),
              detail=str(eta3) if not eta3.is_zero() else None)
     # j = 0: eta1 = -E and eta3 is the constant -1/pi
-    eta1 = e1.h1.eval_theta_power(0)
-    E = gen_E(ctx, N)
-    d = eta1.first_difference(-E.series)
-    _chk(checks, "ev at theta of h1 equals -E", d is None, _fmt_diff(d))
+    _chk_same(checks, "ev at theta of h1 equals -E", e1.h1.eval_theta_power(0),
+              -gen_E(ctx, N).series)
     eta3 = e1.h3.eval_theta_power(0)
     minus_pi_inv = GradedScalar(ctx.ring, {(-1, 0): RatFunc(-ctx.ring.one, None)})
     _chk(checks, "ev at theta of h3 is the constant -1/pi",
@@ -378,20 +356,16 @@ def suite_specialize_petrov(q: int, N: int | None = None,
     # para-Eisenstein ratio at k = 1: (D_1 alphahat_1)^q f_1 = f_(q+1)
     a1 = para_eisenstein(ctx, 1, N)
     lhs = (a1.series.scale(ctx.gs(ctx.D(1)))) ** q * gen_fs(ctx, 1, N).series
-    rhs = gen_fs(ctx, q + 1, N).series
-    d = lhs.first_difference(rhs)
-    _chk(checks, "para-Eisenstein ratio identity at k=1", d is None, _fmt_diff(d))
+    _chk_same(checks, "para-Eisenstein ratio identity at k=1", lhs,
+              gen_fs(ctx, q + 1, N).series)
 
     # Ramanujan-Serre comparison at k = 2q-1
     k = 2 * q - 1
     ekk = eis_k(ctx, k, N)
     det = det_pair(e1, ekk.scale(ctx.gs_int(k - 1)))
-    lhs = det.series.eval_theta_power(0)
     rs = ramanujan_serre(ctx, gen_goss_eis(ctx, k - 1, N))
-    rhs = rs.series.scale(minus_pi_inv)
-    d = lhs.first_difference(rhs)
-    _chk(checks, "ev_theta det[E1,(k-1)Ek] = -pi^(-1) RS(E^(k-1))",
-         d is None, _fmt_diff(d))
+    _chk_same(checks, "ev_theta det[E1,(k-1)Ek] = -pi^(-1) RS(E^(k-1))",
+              det.series.eval_theta_power(0), rs.series.scale(minus_pi_inv))
     return _report("specialize-petrov", q, N, checks)
 
 
@@ -498,10 +472,8 @@ def suite_oracles(q: int, N: int | None = None, *, checks: list) -> dict:
             if n == 0:
                 continue
             brute = brute + sums[n].truncate(int(brute._p())).scale(c)
-        got = trace_div(f, p)
-        d = got.first_difference(brute)
-        _chk(checks, f"trace against brute-force coset sum on {name}",
-             d is None, _fmt_diff(d))
+        _chk_same(checks, f"trace against brute-force coset sum on {name}",
+                  trace_div(f, p), brute)
 
     # orthogonality of the torsion polynomials at degree one
     L = period_lattice(ctx)
@@ -535,19 +507,14 @@ def suite_oracles(q: int, N: int | None = None, *, checks: list) -> dict:
         pi_k = GradedScalar(ctx.ring,
                             {(k - 1, 0): RatFunc(ctx.ring.from_int((-1) ** (k - 1)),
                                                  None)})
-        d = lhs.first_difference(gk.scale(pi_k))
-        _chk(checks, f"derivative kernel vs G_{k}", d is None, _fmt_diff(d))
+        _chk_same(checks, f"derivative kernel vs G_{k}", lhs, gk.scale(pi_k))
     # the weight-raising identity for the derivative of the Eisenstein series
     k = 2 * q - 1
     lhs = dz(gen_goss_eis(ctx, k - 1, N).series, 1)
-    rhs = USeries.zero(ctx, N)
-    for a in ctx.monics_below(N):
-        rhs = rhs + goss_series(ctx, L, k, u_scale(ctx, a, N)).scale(
-            ctx.gs(ctx.apoly(a)))
+    rhs = a_expansion(ctx, lambda a: ctx.gs(ctx.apoly(a)), k, N)
     pi1 = GradedScalar(ctx.ring, {(1, 0): RatFunc(ctx.ring.from_int(k - 1), None)})
-    d = lhs.first_difference(rhs.scale(pi1))
-    _chk(checks, "derivative of E^(k-1) against the weighted expansion",
-         d is None, _fmt_diff(d))
+    _chk_same(checks, "derivative of E^(k-1) against the weighted expansion",
+              lhs, rhs.scale(pi1))
 
     # zeta ratios against frozen independently derived values
     zr1 = zeta_ratio(ctx, q - 1)
@@ -558,8 +525,8 @@ def suite_oracles(q: int, N: int | None = None, *, checks: list) -> dict:
     _chk(checks, "zeta_ratio(2(q-1)) == 1/D_1^2", zr2 == want2, detail=str(zr2))
     # and the Eisenstein constant consistency with the g display
     Ehat = gen_goss_eis(ctx, q - 1, N)
-    d = Ehat.series.scale(ctx.gs(ctx.D(1))).first_difference(gen_g(ctx, N).series)
-    _chk(checks, "[1] * E^(q-1)-normalized == g", d is None, _fmt_diff(d))
+    _chk_same(checks, "[1] * E^(q-1)-normalized == g",
+              Ehat.series.scale(ctx.gs(ctx.D(1))), gen_g(ctx, N).series)
     return _report("oracles", q, N, checks)
 
 
@@ -687,32 +654,22 @@ def suite_properties(q: int, N: int = 24, seed: int = 7, cases: int = 10,
     _chk(checks, "evaluation ladder commutes with the twist", ok)
 
     # structure decomposition round-trip on random classical pairs
-    from .vmf import compose_structure
-
     Nd = max(N, 16)
     ok = True
-    gN = gen_g(ctx, Nd)
-    hN = gen_h(ctx, Nd)
+
+    def random_form(weight, pairs):
+        terms = [(ctx.gs_int(rng.randrange(ctx.p)), b, 0)
+                 for b in gh_basis(ctx, pairs, Nd)]
+        return ClassicalForm(ctx, weight, 0, USeries.lincomb(ctx, terms, Nd))
+
     for _ in range(cases):
         kF = rng.choice([q - 1, 2 * (q - 1), q + 1 + (q - 1)])
-        from .forms import gh_monomials as ghm
-
-        pairsF = ghm(ctx, kF, 0)
-        pairsG = ghm(ctx, kF + 1 - q, 0)
+        pairsF = gh_monomials(ctx, kF, 0)
+        pairsG = gh_monomials(ctx, kF + 1 - q, 0)
         if not pairsF or not pairsG:
             continue
-        F = ClassicalForm(ctx, kF, 0, USeries.zero(ctx, Nd))
-        for (al, be) in pairsF:
-            c = ctx.gs_int(rng.randrange(ctx.p))
-            F = ClassicalForm(ctx, kF, 0,
-                              F.series + (gN.series ** al * hN.series ** be)
-                              .truncate(Nd).scale(c))
-        G = ClassicalForm(ctx, kF + 1 - q, 0, USeries.zero(ctx, Nd))
-        for (al, be) in pairsG:
-            c = ctx.gs_int(rng.randrange(ctx.p))
-            G = ClassicalForm(ctx, kF + 1 - q, 0,
-                              G.series + (gN.series ** al * hN.series ** be)
-                              .truncate(Nd).scale(c))
+        F = random_form(kF, pairsF)
+        G = random_form(kF + 1 - q, pairsG)
         H = compose_structure(ctx, F, G, Nd)
         if H.h1.is_zero() and H.h3.is_zero():
             continue

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import math
 
-from .carlitz import b_poly_twist, goss_poly, period_lattice, zeta_ratio
+from .carlitz import b_poly_twist, period_lattice, zeta_ratio
 from .context import Context
 from .errors import (CarlitzVMFError, NotInSpanError, NotIrreducibleError,
                      PrecisionError)
-from .forms import (ClassicalForm, a_expansion, express_in_gh, gen_Delta, gen_g,
-                    gen_goss_eis, gen_h, gh_monomials)
+from .forms import (ClassicalForm, a_expansion, gen_goss_eis, gen_h, gh_basis,
+                    gh_monomials, solve_in_span)
 from .polys import Poly, RatFunc
 from .scalars import GradedScalar
 from .useries import (USeries, goss_series, quotients, scale_arg, trace_div,
@@ -377,43 +377,21 @@ def eis_k(ctx: Context, k: int, N: int) -> VMForm:
         e1 = eis1(ctx, N)
         eq = eis_q(ctx, N)
         h1 = a_expansion(ctx, lambda a: -ctx.gs(ctx.chi(a)), k, N)
-        pairs_F = gh_monomials(ctx, k - 1, 0)
-        pairs_G = gh_monomials(ctx, k - q, 0) if k >= q else []
-        gN = gen_g(ctx, N)
-        hN = gen_h(ctx, N)
-
-        def monomial(al, be):
-            if not al and not be:
-                return USeries.one(ctx, N)
-            return (gN.series ** al * hN.series ** be).truncate(N)
-
-        cols = []
-        for (al, be) in pairs_F:
-            cols.append((monomial(al, be) * e1.h1, "F", (al, be)))
-        for (al, be) in pairs_G:
-            cols.append((monomial(al, be) * eq.h1, "G", (al, be)))
+        basis_F = gh_basis(ctx, gh_monomials(ctx, k - 1, 0), N)
+        basis_G = gh_basis(ctx, gh_monomials(ctx, k - q, 0) if k >= q else [], N)
+        cols = [b * e1.h1 for b in basis_F] + [b * eq.h1 for b in basis_G]
         if not cols:
             raise CarlitzVMFError("no basis columns; weight too small")
         if N <= len(cols) + 1:
             raise PrecisionError("truncation too small for the structure solve")
-        rows = range(1, N)
-        mat = [[col[0].coeff(n).rational_part() for col in cols] for n in rows]
-        rhs = [h1.coeff(n).rational_part() for n in rows]
-        from .forms import _gauss_pivot_solution
+        sol = solve_in_span(ctx, cols, h1)
 
-        sol = _gauss_pivot_solution(ctx, mat, rhs)
+        def combine(basis, coeffs):
+            return USeries.lincomb(ctx, [(c, b, 0) for b, c in zip(basis, coeffs)
+                                         if not c.is_zero()], N)
 
-        def combine(pairs, coeffs):
-            return USeries.lincomb(ctx, [
-                (GradedScalar.from_rat(c), monomial(al, be), 0)
-                for (al, be), c in zip(pairs, coeffs) if not c.is_zero()], N)
-
-        Fs = combine(pairs_F, sol[: len(pairs_F)])
-        Gs = combine(pairs_G, sol[len(pairs_F):])
-        check = Fs * e1.h1 + Gs * eq.h1
-        if not check.eq_to_prec(h1):
-            raise NotInSpanError("weight-k first coordinate not in the module",
-                                 residual=check - h1)
+        Fs = combine(basis_F, sol[:len(basis_F)])
+        Gs = combine(basis_G, sol[len(basis_F):])
         h3 = Fs * e1.h3 + Gs * eq.h3
         lam = extract_lambda(ctx, k, h1, h3, N)
         return VMForm(ctx, k, 0, h1.truncate(N), h3.truncate(N), regular=True,

@@ -161,6 +161,22 @@ def test_monic_enumeration_order(ctx):
     assert m1 == tuple(sorted(m1))
 
 
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_monics_in_lexicographic_digit_order(q):
+    # check names of the congruence and vadic suites follow this order
+    ctx = shared_context(q)
+    base = ctx.base_field
+
+    def digit_vector(a):
+        return [base.digits(c) for c in a]
+
+    for d in range(4):
+        monics = ctx.monics(d)
+        assert len(set(monics)) == len(monics) == q ** d
+        assert all(len(a) == d + 1 and a[-1] == base.one for a in monics)
+        assert list(monics) == sorted(monics, key=digit_vector)
+
+
 @pytest.mark.parametrize("q,top", [(2, 8), (3, 5), (4, 4), (5, 3)],
                          ids=["q2", "q3", "q4", "q5"])
 def test_irreducibility(q, top):

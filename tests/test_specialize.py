@@ -1,5 +1,6 @@
 import pytest
 
+from carlitz_vmf import specialize
 from carlitz_vmf.errors import NotIrreducibleError
 from carlitz_vmf.forms import gen_h
 from carlitz_vmf.scalars import GradedScalar
@@ -88,6 +89,19 @@ def test_quasimodular_classification(ctx):
     assert info["gh_expression"] == {(0, 0): ctx.gs_int(-1)}
 
 
+def test_quasimodular_classification_lets_program_faults_through(monkeypatch):
+    # only "not in the span" and "too little precision" mean not modular
+    ctx = shared_context(2)
+    e1 = eis1(ctx, 14)
+
+    def broken(ctx, form):
+        raise TypeError("a fault in the solver")
+
+    monkeypatch.setattr(specialize, "express_in_gh", broken)
+    with pytest.raises(TypeError, match="a fault in the solver"):
+        eval_theta_power_vmf(e1, 0)
+
+
 def test_congruence_and_vadic_reports(ctx):
     p = theta(ctx)
     rc = RootContext(ctx, p)
@@ -142,18 +156,20 @@ def test_bounded_at_infinity_shadow(ctx):
                 assert not ev3.c or ev3.val() >= 0
 
 
-def test_hecke_compat_both_cases(ctx2):
-    ctx = ctx2
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("q", [2, 3])
+def test_hecke_compat_both_cases(q, n):
+    ctx = shared_context(q)
     N = 20
     e1 = eis1(ctx, N)
     p = theta(ctx)
     q0 = (ctx.base_field.one, ctx.base_field.one)
-    rep = hecke_compat_check(e1, p, RootContext(ctx, q0), 2)
-    assert rep["pre_ok"] and rep["post_ok"] and rep["ok"]
-    rep = hecke_compat_check(e1, p, RootContext(ctx, p), 2)
-    assert rep["pre_ok"] and rep["correction_matches"] and rep["ok"]
-    rep = hecke_compat_check(e1, p, RootContext(ctx, q0), 1)
-    assert rep["ok"]
+    rep = hecke_compat_check(e1, p, RootContext(ctx, q0), n)
+    assert rep["pre_ok"] and rep["pre_first_difference"] is None
+    assert rep["post_ok"] and rep["ok"]
+    rep = hecke_compat_check(e1, p, RootContext(ctx, p), n)
+    assert rep["pre_ok"] and rep["pre_first_difference"] is None
+    assert rep["correction_matches"] and rep["ok"]
 
 
 def test_phi_rep(ctx):

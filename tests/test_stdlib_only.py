@@ -37,3 +37,29 @@ def test_imports_are_stdlib(path):
     outside = [(line, name) for line, name in _absolute_imports(path)
                if name not in sys.stdlib_module_names]
     assert not outside, f"non-stdlib imports in {path}: {outside}"
+
+
+def _unused_imports(path):
+    """(line, name) of each module-level import name the module never reads."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in read)
+
+
+# __init__.py imports to re-export, so its names are read by its users
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if os.path.basename(p) != "__init__.py"],
+    ids=os.path.basename)
+def test_no_unused_imports(path):
+    unused = _unused_imports(path)
+    assert not unused, f"unused imports in {path}: {unused}"

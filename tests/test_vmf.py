@@ -1,5 +1,6 @@
 import pytest
 
+from carlitz_vmf import vmf
 from carlitz_vmf.carlitz import carlitz_binomial
 from carlitz_vmf.context import Context
 from carlitz_vmf.errors import (CarlitzVMFError, NotInSpanError,
@@ -197,6 +198,22 @@ def test_lambda_values(ctx):
         ctx.ring,
         {(0, -1): RatFunc(ctx.ring.one,
                           (ctx.ring.t - tq) * (ctx.ring.t - ctx.ring.theta))})
+
+
+def test_eis_k_refuses_a_first_coordinate_outside_the_span(monkeypatch):
+    # a fresh context, so no cached eis_k answers before the solve
+    ctx = Context(2)
+    N, k = 16, 3
+    real = vmf.a_expansion
+
+    def stray(ctx, coeff_fn, k, N):
+        return real(ctx, coeff_fn, k, N) + USeries(ctx, {N - 1: ctx.gs_one()}, N)
+
+    monkeypatch.setattr(vmf, "a_expansion", stray)
+    with pytest.raises(NotInSpanError) as exc:
+        eis_k(ctx, k, N)
+    residual = exc.value.residual
+    assert residual is not None and not residual.is_zero()
 
 
 def test_eis_k_lambda_and_regularity(ctx):
