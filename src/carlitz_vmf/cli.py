@@ -159,10 +159,15 @@ def cmd_compute(args) -> int:
 
 
 def _run_one(item):
-    """Run one suite; the options in kw go to the suites that take them."""
+    """Run one suite; the options in kw go to the suites that take them.
+    A suite that needs a larger truncation gives the PrecisionError's
+    message in place of its report."""
     name, q, N, kw = item
     kw = kw if name == "hecke-eigen" else {}
-    return name, run_suite(name, q, N, **kw)
+    try:
+        return name, run_suite(name, q, N, **kw)
+    except PrecisionError as exc:
+        return name, str(exc)
 
 
 def cmd_verify(args) -> int:
@@ -188,7 +193,8 @@ def cmd_verify(args) -> int:
             results = dict(ex.map(_run_one, jobs))
     else:
         results = dict(map(_run_one, jobs))
-    reports = [results[n] for n in names]
+    short = [n for n in names if isinstance(results[n], str)]
+    reports = [results[n] for n in names if n not in short]
     failed = False
     out = []
     for rep in reports:
@@ -209,6 +215,11 @@ def cmd_verify(args) -> int:
     if args.report:
         with open(args.report, "w") as fh:
             json.dump(out, fh, indent=1, default=str, sort_keys=True)
+    for n in short:
+        print(f"error: insufficient precision in suite {n!r}: {results[n]}; "
+              "rerun it with a larger --trunc", file=sys.stderr)
+    if short:
+        return 3
     return 1 if failed else 0
 
 

@@ -7,10 +7,19 @@ order everywhere is graded lexicographic with theta > t, i.e. compare
 ``num/den`` with gcd(num, den) = 1 and den monic for that order, so
 equality is literal dictionary equality.
 
-Normalizing a fraction takes gcds.  An operand of t-degree 0 or 1 needs
-only univariate gcds over F[theta] and, for degree 1, one divisibility
-identity; the primitive PRS in t (``_bivar_gcd``) runs only when both
-operands have t-degree at least 2, as for general random fractions.
+Normalizing a fraction takes gcds, and the fraction operations take as
+few and as small ones as they can.  A sum over different denominators d1,
+d2 is normalized by Henrici's rule: with g = gcd(d1, d2) its numerator
+n1 d2/g + n2 d1/g can share a factor only with g, so one gcd against g
+suffices (none when g = 1).  Products cross-cancel the reduced pairs.  The
+twist theta -> theta^q and powers take no gcd at all: they map coprime
+pairs to coprime pairs.
+
+An operand of t-degree 0 or 1 needs only univariate gcds over F[theta]
+and, for degree 1, one divisibility identity.  When both operands have
+t-degree at least 2, images at a few points theta = x that are coprime in
+F[t] prove the gcd t-free, and it is the gcd of the theta-contents; only
+when no point decides does the primitive PRS in t (``_bivar_gcd``) run.
 Exact division pops the graded-lex lead of the remainder from a heap.
 """
 
@@ -18,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 
 
 def _glex(key):
@@ -570,8 +580,12 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     Exact shortcuts come first: a monomial operand; an operand of t-degree
     0, whose gcd with b is a gcd in F[theta] of it and the t-coefficients
     of b; an operand of t-degree 1 (``_linear_gcd``); two t-free or two
-    theta-free operands.  The primitive PRS (``_bivar_gcd``) runs only when
-    both operands have t-degree at least 2 and one of them involves theta.
+    theta-free operands; equal operands.  Otherwise both operands have
+    t-degree at least 2, and Brown's evaluation test comes next
+    (``_coprime_at_a_point``): when a(x, t) and b(x, t) are coprime for
+    one of a few points x where the t-lead of a does not vanish, the gcd
+    is the gcd of the theta-contents.  The primitive PRS (``_bivar_gcd``)
+    runs only when no point decides.
     """
     ring = a.ring
     if a.is_zero():
@@ -592,7 +606,41 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     if a.deg_theta() == 0 and b.deg_theta() == 0:
         return _from_univar(
             ring, _univar_gcd(_to_univar(a, 1), _to_univar(b, 1), ring.field), 1)
+    if a == b:
+        return a.monic()
+    if _coprime_at_a_point(a, b):
+        return _content_theta(b, _content_theta(a))
     return _bivar_gcd(a, b)
+
+
+_EVAL_POINTS = 4
+
+
+def _coprime_at_a_point(a, b):
+    """True when a(x, t) and b(x, t) are coprime in F[t] for one of the
+    first ``_EVAL_POINTS`` elements x of F at which the t-lead of a does
+    not vanish (Brown's test).  Then gcd(a, b) has t-degree 0: a factor G
+    of positive t-degree would keep its t-degree at x, since a does, and
+    G(x, t) would divide both images."""
+    f = a.ring.field
+    zero, add, mul = f.zero, f.add, f.mul
+    da, db = a.deg_t(), b.deg_t()
+    top = max(a.deg_theta(), b.deg_theta())
+    for x in itertools.islice(f.elements(), _EVAL_POINTS):
+        powers = [f.one]
+        for _ in range(top):
+            powers.append(mul(powers[-1], x))
+        images = []
+        for poly, d in ((a, da), (b, db)):
+            row = [zero] * (d + 1)
+            for (i, j), v in poly.c.items():
+                row[j] = add(row[j], mul(v, powers[i]))
+            images.append(row)
+        if images[0][da] == zero:
+            continue
+        if len(_univar_gcd(images[0], images[1], f)) == 1:
+            return True
+    return False
 
 
 def _linear_gcd(a, b):
@@ -709,13 +757,20 @@ class RatFunc:
             g = poly_gcd(num, den)
             if not g.is_one():
                 num, den = num.exact_div(g), den.exact_div(g)
-            _, lc = den.lead()
-            if lc != ring.field.one:
-                inv = ring.field.inv(lc)
-                num, den = num.scale(inv), den.scale(inv)
+            num, den = RatFunc._lead_one(num, den)
         self.num = num
         self.den = den
         self._hash = None
+
+    @staticmethod
+    def _lead_one(num, den):
+        """num and den scaled so that den's graded-lex lead is 1."""
+        _, lc = den.lead()
+        f = den.ring.field
+        if lc == f.one:
+            return num, den
+        inv = f.inv(lc)
+        return num.scale(inv), den.scale(inv)
 
     @property
     def ring(self):
@@ -755,10 +810,21 @@ class RatFunc:
         if d1one:
             return RatFunc(other.num + self.num * other.den, other.den,
                            reduce=False)
-        if self.den == other.den:
-            return RatFunc(self.num + other.num, self.den)
-        return RatFunc(self.num * other.den + other.num * self.den,
-                       self.den * other.den)
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            return RatFunc(self.num + other.num, d1)
+        # Henrici: with g = gcd(d1, d2) the sum is
+        # (n1 d2/g + n2 d1/g) / (d1 d2/g), and its numerator can share a
+        # factor only with g, so one gcd against g (none when g = 1)
+        g = poly_gcd(d1, d2)
+        if not g.is_one():
+            d1, d2 = d1.exact_div(g), d2.exact_div(g)
+        num = self.num * d2 + other.num * d1
+        if not g.is_one():
+            h = poly_gcd(num, g)
+            if not h.is_one():
+                num, g = num.exact_div(h), g.exact_div(h)
+        return RatFunc(*RatFunc._lead_one(num, d1 * d2 * g), reduce=False)
 
     def __neg__(self):
         return RatFunc(-self.num, self.den, reduce=False)
@@ -784,23 +850,12 @@ class RatFunc:
             g = poly_gcd(n2, d1)
             if not g.is_one():
                 n2, d1 = n2.exact_div(g), d1.exact_div(g)
-        den = d1 * d2
-        num = n1 * n2
-        _, lc = den.lead()
-        if lc != self.ring.field.one:
-            inv = self.ring.field.inv(lc)
-            num, den = num.scale(inv), den.scale(inv)
-        return RatFunc(num, den, reduce=False)
+        return RatFunc(*RatFunc._lead_one(n1 * n2, d1 * d2), reduce=False)
 
     def inv(self):
         if self.num.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        num, den = self.den, self.num
-        _, lc = den.lead()
-        if lc != self.ring.field.one:
-            w = self.ring.field.inv(lc)
-            num, den = num.scale(w), den.scale(w)
-        return RatFunc(num, den, reduce=False)
+        return RatFunc(*RatFunc._lead_one(self.den, self.num), reduce=False)
 
     def __truediv__(self, other):
         return self * other.inv()
@@ -808,11 +863,20 @@ class RatFunc:
     def __pow__(self, n):
         if n < 0:
             return self.inv() ** (-n)
-        return RatFunc(self.num ** n, self.den ** n)
+        # powers of a coprime pair are coprime, and of a monic den monic
+        return RatFunc(self.num ** n, self.den ** n, reduce=False)
 
     def tau(self, q):
-        """theta -> theta^q (t fixed; F_q coefficients fixed)."""
-        return RatFunc(self.num.subs_theta_power(q), self.den.subs_theta_power(q))
+        """theta -> theta^q (t fixed; F_q coefficients fixed).
+
+        The twist is an injective ring map that fixes t, so it keeps
+        t-degrees, Res_t(tau a, tau b) = tau(Res_t(a, b)) != 0, and it
+        maps theta-contents to theta-contents: the twist of a coprime pair
+        is coprime, and no gcd is taken.  Only den's graded-lex lead can
+        move, so only that coefficient is renormalized."""
+        return RatFunc(*RatFunc._lead_one(self.num.subs_theta_power(q),
+                                          self.den.subs_theta_power(q)),
+                       reduce=False)
 
     def hyperderiv_t(self, n):
         """n-th divided-power t-derivative, via the Leibniz convolution."""

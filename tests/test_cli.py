@@ -114,6 +114,13 @@ def _raising_suite(exc):
     return suite
 
 
+def _passing_suite(name):
+    def suite(q, N=8, *, checks):
+        return verify._report(name, q, N,
+                              [{"name": "fine", "ok": True, "detail": None}])
+    return suite
+
+
 def test_run_suite_reports_a_raising_suite_as_failed(monkeypatch, capsys):
     monkeypatch.setitem(verify.SUITES, "raises", _raising_suite(
         EvaluationPoleError("uncancelled pole at t = theta")))
@@ -167,6 +174,30 @@ def test_verify_precision_error_still_exits_3(monkeypatch, capsys):
     code, _, err = run(["verify", "--q", "2", "--suite", "short"], capsys)
     assert code == 3
     assert "insufficient precision" in err
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_all_keeps_reports_when_a_suite_needs_more_precision(
+        monkeypatch, tmp_path, capsys, jobs):
+    """A suite that asks for a larger --trunc does not discard the reports
+    of the others: they are printed and written, the short suite is named,
+    and the exit code stays 3."""
+    for name in list(verify.SUITES):
+        monkeypatch.delitem(verify.SUITES, name)
+    monkeypatch.setitem(verify.SUITES, "a-passes", _passing_suite("a-passes"))
+    monkeypatch.setitem(verify.SUITES, "b-short", _raising_suite(
+        PrecisionError("need more terms")))
+    monkeypatch.setitem(verify.SUITES, "c-passes", _passing_suite("c-passes"))
+    rep = tmp_path / "report.json"
+    code, out, err = run(["verify", "--q", "2", "--suite", "all",
+                          "--jobs", jobs, "--report", str(rep)], capsys)
+    assert code == 3
+    assert "[PASS] a-passes" in out and "[PASS] c-passes" in out
+    assert "b-short" not in out
+    assert "insufficient precision" in err
+    assert "'b-short'" in err and "--trunc" in err
+    assert [r["suite"] for r in json.loads(rep.read_text())] == [
+        "a-passes", "c-passes"]
 
 
 def test_verify_jobs_passes_prime_through(monkeypatch, tmp_path, capsys):

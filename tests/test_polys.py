@@ -227,3 +227,132 @@ def test_subs_theta_power_is_multiplicative():
     b = th + t
     q = 2
     assert (a * b).subs_theta_power(q) == a.subs_theta_power(q) * b.subs_theta_power(q)
+
+
+def _from_scratch(num, den):
+    """num/den normalized by the primitive PRS alone: the oracle."""
+    if num.is_zero():
+        return RatFunc(num, None, reduce=False)
+    g = _bivar_gcd(num, den)
+    num, den = num.exact_div(g), den.exact_div(g)
+    inv = den.ring.field.inv(den.lead()[1])
+    return RatFunc(num.scale(inv), den.scale(inv), reduce=False)
+
+
+def _random_fraction(R, rng, den_factor=None):
+    """A random canonical fraction; its denominator has t-degree >= 1 and
+    carries den_factor when given."""
+    num = _random_poly(R, rng, 2, rng.randrange(3), 3)
+    den = _random_poly(R, rng, 2, rng.randrange(1, 3), 3)
+    if den_factor is not None:
+        den = den * den_factor
+    return _from_scratch(num, den)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_henrici_sum_matches_from_scratch(q):
+    """Sums of fractions with different non-trivial denominators, coprime
+    or sharing a factor, with and without cancellation against the shared
+    factor, and sums that cancel to 0."""
+    R = Context(q).ring
+    rng = random.Random(300 + q)
+    for _ in range(6):
+        c = _random_poly(R, rng, 2, 1, 3)
+        x = _random_fraction(R, rng, c)
+        y = _random_fraction(R, rng, c)
+        s = _random_fraction(R, rng)
+        d = _from_scratch(s.num * x.den - x.num * s.den, s.den * x.den)
+        z = _random_fraction(R, rng)
+        pairs = [(x, y), (x, z), (x, d)]
+        for a, b in pairs:
+            assert a.den != b.den and not a.den.is_one() and not b.den.is_one()
+            want = _from_scratch(a.num * b.den + b.num * a.den, a.den * b.den)
+            assert a + b == want and b + a == want
+            assert want == RatFunc(a.num * b.den + b.num * a.den,
+                                   a.den * b.den)
+        assert x + d == s  # the shared factor of x.den and d.den cancels
+        assert (x + z) + y + (-(x + y)) + (-z) == RatFunc(R.zero)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_tau_and_pow_match_from_scratch(q):
+    """The twist and powers take no gcd; they must still be canonical,
+    including a denominator whose graded-lex lead moves under the twist."""
+    ctx = Context(q)
+    R, F = ctx.ring, ctx.base_field
+    rng = random.Random(400 + q)
+    c = [x for x in F.elements() if x not in (F.zero, F.one)]
+    moved = R.t * R.t + R.theta.scale(c[0]) if c else R.t * R.t + R.theta
+    fracs = [_random_fraction(R, rng) for _ in range(8)]
+    fracs.append(_from_scratch(R.theta * R.t + R.one, moved))
+    for x in fracs:
+        want = _from_scratch(x.num.subs_theta_power(q),
+                             x.den.subs_theta_power(q))
+        assert x.tau(q) == want
+        assert x.tau(q) == RatFunc(x.num.subs_theta_power(q),
+                                   x.den.subs_theta_power(q))
+        for n in (0, 1, 2, 3, -1, -2):
+            num, den = (x.num, x.den) if n >= 0 else (x.den, x.num)
+            assert x ** n == _from_scratch(num ** abs(n), den ** abs(n))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_gcd_of_higher_t_degree_matches_prs(q):
+    """poly_gcd on operands of t-degree >= 2: equal operands, coprime
+    pairs (decided at a point), planted common factors of positive
+    t-degree, shared theta-content, and a common factor whose t-lead
+    vanishes at theta = 0, where the images at that point are coprime."""
+    R = Context(q).ring
+    th, t = R.theta, R.t
+    rng = random.Random(500 + q)
+    shared = th * t + R.one
+    pairs = [(shared * (t + th), shared * (t * t + th + R.one))]
+    for _ in range(6):
+        A = _random_poly(R, rng, 3, 2, 4)
+        B = _random_poly(R, rng, 3, 3, 5)
+        G = _random_poly(R, rng, 2, rng.randrange(1, 3), 3) + R.t
+        c = _random_poly(R, rng, 2, 0, 2) * th + R.one
+        pairs += [(A, B), (A, A), (G * A, G * B), (c * A, c * B),
+                  (c * G * A, G * B), (shared * A, shared * B)]
+    for a, b in pairs:
+        assert min(a.deg_t(), b.deg_t()) >= 2
+        want = _bivar_gcd(a, b)
+        for g in (poly_gcd(a, b), poly_gcd(b, a)):
+            assert g == want
+            assert g.lead()[1] == R.field.one
+    assert poly_gcd(*pairs[0]) == shared.monic()
+
+
+def test_gcd_counts(monkeypatch):
+    """tau and ** take no gcd, a sum over coprime denominators takes one,
+    and the properties suite at q=4 reaches the PRS at most 200 times."""
+    from carlitz_vmf import polys
+    from carlitz_vmf.cli import main
+
+    calls = {"poly_gcd": 0, "_bivar_gcd": 0}
+
+    def counted(name):
+        fn = getattr(polys, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(polys, name, counted(name))
+    R = ring(3)
+    th, t = R.theta, R.t
+    x = RatFunc(th + t, th * t + R.one)
+    y = RatFunc(th * th + R.one, t * t + th)
+    calls["poly_gcd"] = 0
+    x.tau(3)
+    y.tau(9)
+    x ** 3
+    x ** -2
+    assert calls["poly_gcd"] == 0
+    x + y
+    assert calls["poly_gcd"] == 1
+    calls["_bivar_gcd"] = 0
+    assert main(["verify", "--suite", "properties", "--q", "4"]) == 0
+    assert calls["_bivar_gcd"] <= 200
