@@ -7,6 +7,8 @@ Exit codes: 0 success, 1 verification failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
+import glob
 import hashlib
 import json
 import os
@@ -94,6 +96,19 @@ def cache_dir_from(args) -> str:
     return os.path.join(os.path.expanduser("~"), ".cache", "carlitz-vmf")
 
 
+@functools.cache
+def _source_digest() -> str:
+    """sha256 over the names and bytes of the package's ``*.py`` files, so
+    that an edited package never reads a result cached by another."""
+    h = hashlib.sha256()
+    pkg = os.path.dirname(os.path.abspath(__file__))
+    for path in sorted(glob.glob(os.path.join(pkg, "*.py"))):
+        h.update(os.path.basename(path).encode() + b"\0")
+        with open(path, "rb") as fh:
+            h.update(fh.read() + b"\0")
+    return h.hexdigest()
+
+
 def _read_cached(path: str):
     """The cached text at path, or None when it is missing or is not JSON."""
     try:
@@ -128,6 +143,7 @@ def cmd_compute(args) -> int:
         return 2
     request = ser.canonical_dumps({
         "schema": ser.SCHEMA, "version": __version__,
+        "sources": _source_digest(),
         "field": {"p": ctx.p, "e": ctx.e}, "selector": selector, "trunc": N,
     })
     key = hashlib.sha256(request.encode()).hexdigest()

@@ -296,17 +296,7 @@ class USeries:
         if not self.c:
             return USeries.zero(self.ctx, tail)
         exps = sorted(self.c, reverse=True)
-        powers: dict = {}
-
-        def spow(k):
-            if k not in powers:
-                if k == 1:
-                    powers[1] = S
-                else:
-                    h = spow(k // 2)
-                    powers[k] = h * h if k % 2 == 0 else h * h * S
-            return powers[k]
-
+        spow = _power_table(S)
         acc = USeries.const(self.ctx, self.c[exps[0]])
         for i in range(1, len(exps)):
             gap = exps[i - 1] - exps[i]
@@ -528,20 +518,24 @@ def scale_arg(f: USeries, a, prec: int | None = None) -> USeries:
     return out.truncate(target)
 
 
-def goss_series(ctx: Context, L, k: int, S: USeries) -> USeries:
-    """G_k evaluated at the series S."""
-    g = goss_poly(ctx, L, k)
-    powers: dict = {}
+def _power_table(S: USeries):
+    """e -> S^e for e >= 1, each power taken once, by the binary chain
+    S^e = (S^(e // 2))^2, times S when e is odd."""
+    powers = {1: S}
 
     def spow(e):
         if e not in powers:
-            if e == 1:
-                powers[1] = S
-            else:
-                h = spow(e // 2)
-                powers[e] = h * h if e % 2 == 0 else h * h * S
+            h = spow(e // 2)
+            powers[e] = h * h if e % 2 == 0 else h * h * S
         return powers[e]
 
+    return spow
+
+
+def goss_series(ctx: Context, L, k: int, S: USeries) -> USeries:
+    """G_k evaluated at the series S."""
+    g = goss_poly(ctx, L, k)
+    spow = _power_table(S)
     return USeries.lincomb(ctx, [(GradedScalar.from_rat(c), spow(e), 0)
                                  for e, c in sorted(g.coeffs.items())])
 

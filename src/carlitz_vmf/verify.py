@@ -321,9 +321,8 @@ def suite_eis_aexp(q: int, N: int = 24, *, checks: list) -> dict:
         _chk(checks, f"lambda_{k} extraction is constant", True,
              detail=str(ekk.lam))
         F, G = structure_decompose(ctx, ekk)
-        back_h1 = F.series * e1.h1 + G.series * eqf.h1
         _chk(checks, f"structure decomposition of weight {k} round-trips",
-             back_h1.eq_to_prec(ekk.h1))
+             compose_structure(ctx, F, G, N).h1.eq_to_prec(ekk.h1))
     except CarlitzVMFError as exc:
         _chk(checks, f"lambda_{k} extraction is constant", False, str(exc))
     return _report("eisenstein-aexp", q, N, checks)

@@ -14,6 +14,10 @@ and the Hecke operator at a monic prime p acts by the coset formulas with
 two correction terms r0, r1 coming from the failure of the character to
 be multiplicative on arguments; both corrections are produced by the
 functional equation of the Anderson generating function.
+
+That failure is one list of terms, `_chi_terms`; the Eisenstein series
+take their monic sums from one pass, `_eis_sums`; and F e1 + G tau(e1) is
+written once, in `compose_structure`.
 """
 
 from __future__ import annotations
@@ -79,12 +83,8 @@ class VMForm:
                       self.h3.scale(scalar), regular=self.regular, lam=self.lam)
 
     def mul_classical(self, f: ClassicalForm):
-        h1 = self.h1 * f.series
-        h3 = self.h3 * f.series
-        reg = (not h1.c or h1.val() >= 1) and (not h3.c or h3.val() >= 0) \
-            and regular_weight_ok(self.ctx, self.k + f.weight, self.m + f.type_)
-        return VMForm(self.ctx, self.k + f.weight, self.m + f.type_, h1, h3,
-                      regular=reg)
+        return VMForm(self.ctx, self.k + f.weight, self.m + f.type_,
+                      self.h1 * f.series, self.h3 * f.series)._flag_regular()
 
     def mul_series(self, s: USeries, dweight: int = 0, dtype: int = 0):
         return VMForm(self.ctx, self.k + dweight, self.m + dtype,
@@ -110,6 +110,12 @@ class VMForm:
     def is_regular_valued(self):
         return (not self.h1.c or self.h1.val() >= 1) and \
                (not self.h3.c or self.h3.val() >= 0)
+
+    def _flag_regular(self):
+        """Mark the form regular when its valuations and its weight allow."""
+        self.regular = (self.is_regular_valued()
+                        and regular_weight_ok(self.ctx, self.k, self.m))
+        return self
 
     def __repr__(self):
         return (f"VMForm(k={self.k}, m={self.m}, regular={self.regular},\n"
@@ -141,50 +147,58 @@ def lambda_q(ctx: Context) -> GradedScalar:
 # -- the character correction --------------------------------------------------
 
 
+def _chi_terms(ctx: Context, a) -> list:
+    """The terms of `chi_correction`, which `hecke`'s r0 traces one at a
+    time: one (exponent, scalar) pair (-q^(i-l-1), [a]_i tau^(i-l)(b_l)
+    om^(-1)) for each l < i <= deg a with [a]_i != 0; exponents may repeat."""
+    coeffs = ctx.carlitz_coeffs(a)
+    d = len(a) - 1
+    return [(-ctx.q ** (i - l - 1),
+             GradedScalar.from_poly(coeffs[i] * b_poly_twist(ctx, l, i - l),
+                                    0, -1))
+            for l in range(d) for i in range(l + 1, d + 1)
+            if not coeffs[i].is_zero()]
+
+
 def chi_correction(ctx: Context, a, N: int | None = None) -> USeries:
     """The failure of multiplicativity of the character on arguments:
     chi(a z) = a(t) chi(z) + om^(-1) * (this Laurent polynomial in u).
 
     Exact and finitely supported; lowest exponent -q^(deg a - 1)."""
-    d = len(a) - 1
-    if d <= 0:
-        return USeries.zero(ctx)
-    coeffs = ctx.carlitz_coeffs(a)
     out: dict = {}
-    for l in range(d):
-        for i in range(l + 1, d + 1):
-            Ei = coeffs[i]
-            if Ei.is_zero():
-                continue
-            exp = -(ctx.q ** (i - (l + 1)))
-            c = GradedScalar(
-                ctx.ring,
-                {(0, -1): RatFunc(Ei * b_poly_twist(ctx, l, i - l), None)},
-            )
-            cur = out.get(exp)
-            s = c if cur is None else cur + c
-            if s.is_zero():
-                out.pop(exp, None)
-            else:
-                out[exp] = s
-    series = USeries(ctx, out, None)
-    return series if N is None else series.truncate(N)
+    for n, c in _chi_terms(ctx, a):
+        out[n] = out[n] + c if n in out else c
+    return USeries(ctx, out, N)  # the constructor drops cancelled terms
 
 
 # -- Eisenstein series -----------------------------------------------------------
+
+
+def _eis_sums(ctx: Context, k: int, N: int):
+    """(-sum a(t) G_k(u(a z)), sum chi_correction(a) G_k(u(a z))) over the
+    monic a, both to O(u^N): the first coordinate of the weight-k series
+    and the monic-indexed part of its second.
+
+    chi_correction(a) has a pole of order s = q^(deg a - 1), so u(a z) is
+    asked to O(u^(N + s)) before any O(u^N) request: ``u_scale`` then
+    inverts once per monic and serves O(u^N) from its cache."""
+    L = period_lattice(ctx)
+    h1, chi = [], []
+    for a in ctx.monics_below(N):
+        cc = chi_correction(ctx, a).c
+        S = u_scale(ctx, a, N - min(cc, default=0))  # min(cc) = -s
+        G = S if k == 1 else goss_series(ctx, L, k, S)
+        h1.append((-ctx.gs(ctx.chi(a)), G, 0))
+        chi += [(c, G, n) for n, c in cc.items()]
+    return USeries.lincomb(ctx, h1, N), USeries.lincomb(ctx, chi, N)
 
 
 def eis1(ctx: Context, N: int) -> VMForm:
     """The weight-one series: h1 = -sum a(t) u(az),
     h3 = 1/((t-theta) om) + sum chi_corr(a) u(az)."""
     def build():
-        h1, h3 = [], []
-        for a in ctx.monics_below(N):
-            S = _u_scale_hi(ctx, a, N)
-            h1.append((-ctx.gs(ctx.chi(a)), S, 0))
-            h3 += [(c, S, n) for n, c in chi_correction(ctx, a).c.items()]
-        h1 = USeries.lincomb(ctx, h1, N)
-        h3 = USeries.const(ctx, lambda_1(ctx), N) + USeries.lincomb(ctx, h3, N)
+        h1, chi = _eis_sums(ctx, 1, N)
+        h3 = USeries.const(ctx, lambda_1(ctx), N) + chi
         return VMForm(ctx, 1, 0, h1, h3, regular=True, lam=lambda_1(ctx))
 
     return ctx.memo(("eis1", N), build)
@@ -193,32 +207,17 @@ def eis1(ctx: Context, N: int) -> VMForm:
 def eis_q(ctx: Context, N: int) -> VMForm:
     """The weight-q series from its displayed expansion:
     h1 = -sum a(t) u(az)^q,
-    h3 = lambda_q + tau(om)^(-1) sum u(az)^(q-1) + sum chi_corr(a) u(az)^q."""
+    h3 = lambda_q + tau(om)^(-1) sum u(az)^(q-1) + sum chi_corr(a) u(az)^q;
+    u(az)^q = G_q(u(az)), so `_eis_sums` at weight q gives two of the sums."""
     def build():
         q = ctx.q
-        h1, mid, h3 = [], [], []
-        for a in ctx.monics_below(N):
-            S = _u_scale_hi(ctx, a, N)
-            Sq = S ** q
-            h1.append((-ctx.gs(ctx.chi(a)), Sq, 0))
-            mid.append((None, S ** (q - 1), 0))
-            h3 += [(c, Sq, n) for n, c in chi_correction(ctx, a).c.items()]
-        h3 = (USeries.const(ctx, lambda_q(ctx), N) + USeries.lincomb(ctx, h3, N)
-              + USeries.lincomb(ctx, mid, N).scale(tau_omega_inv(ctx)))
-        return VMForm(ctx, q, 0, USeries.lincomb(ctx, h1, N), h3, regular=True,
-                      lam=lambda_q(ctx))
+        h1, chi = _eis_sums(ctx, q, N)
+        mid = a_expansion(ctx, lambda a: ctx.gs_one(), q - 1, N)
+        h3 = (USeries.const(ctx, lambda_q(ctx), N) + chi
+              + mid.scale(tau_omega_inv(ctx)))
+        return VMForm(ctx, q, 0, h1, h3, regular=True, lam=lambda_q(ctx))
 
     return ctx.memo(("eis_q", N), build)
-
-
-def _u_scale_hi(ctx: Context, a, N: int) -> USeries:
-    """u(a z) to O(u^(N + s)), s the pole order of chi_correction(a): the
-    precision chi_correction(a) * u(a z) needs to be known to O(u^N).
-    ``eis1``, ``eis_q`` and ``extract_lambda`` ask for this one before any
-    O(u^N) request, so ``u_scale`` inverts once per monic and serves
-    O(u^N) from its cache."""
-    d = len(a) - 1
-    return u_scale(ctx, a, N + ctx.q ** (d - 1) if d >= 1 else N)
 
 
 def tau_vmf(H: VMForm) -> VMForm:
@@ -227,9 +226,8 @@ def tau_vmf(H: VMForm) -> VMForm:
     h1t = H.h1.tau()
     corr = h1t.shift(-1).scale(tau_omega_inv(ctx))
     h3t = H.h3.tau() - corr
-    reg = H.regular and (not H.h1.c or H.h1.val() >= 1)
     lam = H.lam.tau(ctx.q) if H.lam is not None else None
-    return VMForm(ctx, H.k * ctx.q, H.m, h1t, h3t, regular=reg, lam=lam)
+    return VMForm(ctx, H.k * ctx.q, H.m, h1t, h3t, regular=H.regular, lam=lam)
 
 
 def untau_vmf(T: VMForm, k: int, m: int, regular: bool = False) -> VMForm:
@@ -267,8 +265,6 @@ def hecke(ctx: Context, p, H: VMForm) -> VMForm:
         raise CarlitzVMFError(
             "the Hecke operator is only closed on forms regular at infinity"
         )
-    d = len(p) - 1
-    q = ctx.q
     k = H.k
     pk = ctx.gs(ctx.apoly(p) ** k)
     chip = ctx.gs(ctx.chi(p))
@@ -282,21 +278,11 @@ def hecke(ctx: Context, p, H: VMForm) -> VMForm:
 
     # r0: traces of the shifted h1 against the torsion Goss polynomials
     r0 = USeries.zero(ctx)
-    coeffs = ctx.carlitz_coeffs(p)
-    for l in range(d):
-        for i in range(l + 1, d + 1):
-            Ei = coeffs[i]
-            if Ei.is_zero():
-                continue
-            mu = q ** (i - (l + 1))
-            shifted = H.h1.shift(-mu)
-            pos = USeries(ctx, {n: c for n, c in shifted.c.items() if n >= 1},
-                          shifted.prec)
-            coef = GradedScalar(
-                ctx.ring,
-                {(0, -1): RatFunc(Ei * b_poly_twist(ctx, l, i - l), None)},
-            )
-            r0 = r0 + trace_div(pos, p).scale(coef)
+    for n, coef in _chi_terms(ctx, p):
+        shifted = H.h1.shift(n)
+        pos = USeries(ctx, {m: c for m, c in shifted.c.items() if m >= 1},
+                      shifted.prec)
+        r0 = r0 + trace_div(pos, p).scale(coef)
 
     # r1: the non-multiplicative part of chi at p z against the scaled h1
     cc = chi_correction(ctx, p)
@@ -335,15 +321,12 @@ def structure_decompose(ctx: Context, H: VMForm, N: int | None = None):
     e1 = eis1(ctx, N)
     eq = eis_q(ctx, N)
     den = det_pair(e1, eq).series
-    F = det_pair(H, eq).series / den
-    G = det_pair(e1, H).series / den
-    res1 = (F * e1.h1 + G * eq.h1 - H.h1)
-    res3 = (F * e1.h3 + G * eq.h3 - H.h3)
-    if not res1.is_zero() or not res3.is_zero():
+    Fc = ClassicalForm(ctx, H.k - 1, H.m, det_pair(H, eq).series / den)
+    Gc = ClassicalForm(ctx, H.k - ctx.q, H.m, det_pair(e1, H).series / den)
+    res = compose_structure(ctx, Fc, Gc, N) - H
+    if not res.h1.is_zero() or not res.h3.is_zero():
         raise NotInSpanError("form is not in the Eisenstein module",
-                             residual=res1 if not res1.is_zero() else res3)
-    Fc = ClassicalForm(ctx, H.k - 1, H.m, F)
-    Gc = ClassicalForm(ctx, H.k - ctx.q, H.m, G)
+                             residual=res.h1 if not res.h1.is_zero() else res.h3)
     return Fc, Gc
 
 
@@ -352,12 +335,9 @@ def compose_structure(ctx: Context, F: ClassicalForm, G: ClassicalForm,
     """F e1 + G tau(e1) for classical F, G."""
     e1 = eis1(ctx, N)
     eq = eis_q(ctx, N)
-    h1 = F.series * e1.h1 + G.series * eq.h1
-    h3 = F.series * e1.h3 + G.series * eq.h3
-    return VMForm(ctx, F.weight + 1, F.type_, h1, h3,
-                  regular=(not h1.c or h1.val() >= 1) and
-                          (not h3.c or h3.val() >= 0) and
-                          regular_weight_ok(ctx, F.weight + 1, F.type_))
+    return VMForm(ctx, F.weight + 1, F.type_,
+                  F.series * e1.h1 + G.series * eq.h1,
+                  F.series * e1.h3 + G.series * eq.h3)._flag_regular()
 
 
 def eis_k(ctx: Context, k: int, N: int) -> VMForm:
@@ -374,9 +354,9 @@ def eis_k(ctx: Context, k: int, N: int) -> VMForm:
 
     def build():
         q = ctx.q
+        h1, chi = _eis_sums(ctx, k, N)
         e1 = eis1(ctx, N)
         eq = eis_q(ctx, N)
-        h1 = a_expansion(ctx, lambda a: -ctx.gs(ctx.chi(a)), k, N)
         basis_F = gh_basis(ctx, gh_monomials(ctx, k - 1, 0), N)
         basis_G = gh_basis(ctx, gh_monomials(ctx, k - q, 0) if k >= q else [], N)
         cols = [b * e1.h1 for b in basis_F] + [b * eq.h1 for b in basis_G]
@@ -390,45 +370,34 @@ def eis_k(ctx: Context, k: int, N: int) -> VMForm:
             return USeries.lincomb(ctx, [(c, b, 0) for b, c in zip(basis, coeffs)
                                          if not c.is_zero()], N)
 
-        Fs = combine(basis_F, sol[:len(basis_F)])
-        Gs = combine(basis_G, sol[len(basis_F):])
-        h3 = Fs * e1.h3 + Gs * eq.h3
-        lam = extract_lambda(ctx, k, h1, h3, N)
+        F = ClassicalForm(ctx, k - 1, 0, combine(basis_F, sol[:len(basis_F)]))
+        G = ClassicalForm(ctx, k - q, 0, combine(basis_G, sol[len(basis_F):]))
+        h3 = compose_structure(ctx, F, G, N).h3
+        lam = extract_lambda(ctx, k, h3, chi, N)
         return VMForm(ctx, k, 0, h1.truncate(N), h3.truncate(N), regular=True,
                       lam=lam)
 
     return ctx.memo(("eis_k", k, N), build)
 
 
-def extract_lambda(ctx: Context, k: int, h1: USeries, h3: USeries, N: int):
+def extract_lambda(ctx: Context, k: int, h3: USeries, chi: USeries, N: int):
     """Pull the weight-k constant out of h3 by removing the explicit part
-    of the monic-indexed expansion; raises if the remainder is not a
-    constant (the cross-check of the expansion theorem)."""
+    of the monic-indexed expansion, whose chi-sum (from `_eis_sums`) is
+    ``chi``; raises if the remainder is not a constant (the cross-check of
+    the expansion theorem)."""
     q = ctx.q
-    L = period_lattice(ctx)
-    corr = []
-    for a in ctx.monics_below(N):
-        if len(a) < 2:
-            continue
-        G = goss_series(ctx, L, k, _u_scale_hi(ctx, a, N))
-        corr += [(-c, G, n) for n, c in chi_correction(ctx, a).c.items()]
-    lmax = 0
-    while q ** (lmax + 1) <= k - 1:
-        lmax += 1
     eis = []
-    if k > 1:
-        for l in range(lmax + 1):
-            w = k - q ** l
-            E_l = gen_goss_eis(ctx, w, N)
-            zr = zeta_ratio(ctx, w)
-            tq = Poly(ctx.ring, {(q ** l, 0): ctx.ring.field.one})
-            den = (tq - ctx.ring.t) * ctx.D(l)
-            coef = GradedScalar(ctx.ring, {(0, -1): RatFunc(ctx.ring.one, den)})
-            eis.append((-coef, USeries.const(ctx, zr, N) + E_l.series, 0))
-    # the polynomial corrections and the fraction-scaled Eisenstein terms
-    # are two sums, so the first can stay on the packed path
-    rest = h3 + USeries.lincomb(ctx, corr, N) + USeries.lincomb(ctx, eis, N)
-    # the remainder must be a constant series
+    l = 0
+    while q ** l <= k - 1:
+        w = k - q ** l
+        E_l = gen_goss_eis(ctx, w, N)
+        zr = zeta_ratio(ctx, w)
+        tq = Poly(ctx.ring, {(q ** l, 0): ctx.ring.field.one})
+        den = (tq - ctx.ring.t) * ctx.D(l)
+        coef = GradedScalar(ctx.ring, {(0, -1): RatFunc(ctx.ring.one, den)})
+        eis.append((-coef, USeries.const(ctx, zr, N) + E_l.series, 0))
+        l += 1
+    rest = h3 - chi + USeries.lincomb(ctx, eis, N)
     nonconst = {n: c for n, c in rest.c.items() if n != 0}
     if nonconst:
         raise CarlitzVMFError(

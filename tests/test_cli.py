@@ -1,5 +1,8 @@
 import json
 import os
+import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -231,6 +234,33 @@ def test_compute_cache_key_includes_version(monkeypatch, tmp_path, capsys):
     assert run(args, capsys)[0] == 0
     files = set(os.listdir(cache))
     assert len(files) == 2 and first < files
+
+
+def test_compute_cache_key_includes_the_sources(tmp_path):
+    """A cached result does not outlive the code that produced it: the same
+    request from a copy of the package with one source edited misses the
+    cache, at the same version."""
+    import carlitz_vmf
+
+    pkg = os.path.dirname(os.path.abspath(carlitz_vmf.__file__))
+    edited = tmp_path / "src"
+    shutil.copytree(pkg, edited / "carlitz_vmf",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(edited / "carlitz_vmf" / "vmf.py", "a") as fh:
+        fh.write("\n# an edit that changes no result\n")
+    cache = tmp_path / "cache"
+    args = ["compute", "--q", "3", "--trunc", "8", "--form", "g",
+            "--cache-dir", str(cache)]
+    code = "import sys; from carlitz_vmf.cli import main; sys.exit(main(sys.argv[1:]))"
+    outs = []
+    for root in (os.path.dirname(pkg), str(edited)):
+        env = dict(os.environ, PYTHONPATH=root, PYTHONDONTWRITEBYTECODE="1")
+        done = subprocess.run([sys.executable, "-c", code] + args, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outs.append(done.stdout)
+    assert outs[0] == outs[1]
+    assert len(os.listdir(cache)) == 2
 
 
 def test_compute_unreadable_cache_entry_is_a_miss(tmp_path, capsys):

@@ -63,3 +63,35 @@ def _unused_imports(path):
 def test_no_unused_imports(path):
     unused = _unused_imports(path)
     assert not unused, f"unused imports in {path}: {unused}"
+
+
+def _private_defs(tree):
+    """(line, name) of each private module-level function and method of a
+    module-level class; dunder methods are not private."""
+    for node in tree.body:
+        body = node.body if isinstance(node, ast.ClassDef) else [node]
+        for d in body:
+            if (isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and d.name.startswith("_") and not d.name.endswith("__")):
+                yield d.lineno, d.name
+
+
+def test_no_unreferenced_private_functions():
+    """Every private function or method is read somewhere in the package,
+    as a name or as an attribute, so a helper left behind by a refactor
+    fails here."""
+    trees = {}
+    for path in MODULES:
+        with open(path, encoding="utf-8") as fh:
+            trees[path] = ast.parse(fh.read(), filename=path)
+    read = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+    unused = [(os.path.basename(path), line, name)
+              for path, tree in trees.items()
+              for line, name in _private_defs(tree) if name not in read]
+    assert not unused, f"private functions nothing references: {unused}"

@@ -1,6 +1,6 @@
 import pytest
 
-from carlitz_vmf import vmf
+from carlitz_vmf import forms, vmf
 from carlitz_vmf.carlitz import carlitz_binomial
 from carlitz_vmf.context import Context
 from carlitz_vmf.errors import (CarlitzVMFError, NotInSpanError,
@@ -9,7 +9,7 @@ from carlitz_vmf.forms import gen_E, gen_g, gen_goss_eis, gen_h
 from carlitz_vmf.polys import Poly, RatFunc
 from carlitz_vmf.scalars import GradedScalar
 from carlitz_vmf.serialize import canonical_dumps, series_to_json
-from carlitz_vmf.useries import USeries, u_scale
+from carlitz_vmf.useries import USeries, goss_series, u_scale
 from carlitz_vmf.vmf import (VMForm, chi_correction, det_pair, eis1, eis_k,
                              eis_q, hecke, lambda_1, lambda_q, legendre_fstar,
                              structure_decompose, tau_omega_inv, tau_vmf,
@@ -204,12 +204,15 @@ def test_eis_k_refuses_a_first_coordinate_outside_the_span(monkeypatch):
     # a fresh context, so no cached eis_k answers before the solve
     ctx = Context(2)
     N, k = 16, 3
-    real = vmf.a_expansion
+    real = vmf._eis_sums
 
-    def stray(ctx, coeff_fn, k, N):
-        return real(ctx, coeff_fn, k, N) + USeries(ctx, {N - 1: ctx.gs_one()}, N)
+    def stray(ctx, weight, N):
+        h1, chi = real(ctx, weight, N)
+        if weight == k:
+            h1 = h1 + USeries(ctx, {N - 1: ctx.gs_one()}, N)
+        return h1, chi
 
-    monkeypatch.setattr(vmf, "a_expansion", stray)
+    monkeypatch.setattr(vmf, "_eis_sums", stray)
     with pytest.raises(NotInSpanError) as exc:
         eis_k(ctx, k, N)
     residual = exc.value.residual
@@ -319,3 +322,59 @@ def test_one_inverse_per_monic(monkeypatch, q, N, build):
     ctx = Context(q)
     build(ctx, N)
     assert len(calls) == sum(1 for a in ctx.monics_below(N) if len(a) > 1)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_chi_terms_sum_to_chi_correction(q):
+    """Each monic of degree <= 3: the terms (-q^(i-l-1),
+    [a]_i tau^(i-l)(b_l) om^(-1)), one per l < i <= deg a with [a]_i != 0,
+    written out here from b_l = prod_(j<l) (t - theta^(q^j)); summed, they
+    are chi_correction(a)."""
+    ctx = Context(q)
+    one = ctx.ring.field.one
+
+    def twisted_b(l, n):
+        out = ctx.ring.one
+        for j in range(l):
+            out = out * (ctx.ring.t - Poly(ctx.ring, {(q ** (j + n), 0): one}))
+        return out
+
+    for d in range(4):
+        for a in ctx.monics(d):
+            coeffs = ctx.carlitz_coeffs(a)
+            pairs = [(l, i) for l in range(d) for i in range(l + 1, d + 1)
+                     if not coeffs[i].is_zero()]
+            expect = {}
+            for l, i in pairs:
+                c = GradedScalar.from_poly(coeffs[i] * twisted_b(l, i - l), om=-1)
+                n = -q ** (i - l - 1)
+                expect[n] = expect[n] + c if n in expect else c
+            expect = {n: c for n, c in expect.items() if not c.is_zero()}
+            terms = vmf._chi_terms(ctx, a)
+            assert len(terms) == len(pairs)
+            summed = {}
+            for n, c in terms:
+                summed[n] = summed[n] + c if n in summed else c
+            summed = {n: c for n, c in summed.items() if not c.is_zero()}
+            assert summed == expect == dict(chi_correction(ctx, a).c)
+
+
+@pytest.mark.parametrize("q, k, N", [(2, 3, 16), (3, 5, 15), (4, 7, 20)],
+                         ids=["q2-k3", "q3-k5", "q4-k7"])
+def test_eis_k_evaluates_goss_once_per_monic(monkeypatch, q, k, N):
+    """On a fresh context, eis_k(k) evaluates G_k at u(a z) once for each
+    monic a below N: the first coordinate and the chi-sum of the second
+    come from the same evaluations."""
+    seen = []
+    real = goss_series
+
+    def counted(ctx, L, weight, S):
+        if weight == k:
+            seen.append(S)
+        return real(ctx, L, weight, S)
+
+    for mod in (forms, vmf):
+        monkeypatch.setattr(mod, "goss_series", counted)
+    ctx = Context(q)
+    eis_k(ctx, k, N)
+    assert len(seen) == len(ctx.monics_below(N))
