@@ -6,9 +6,10 @@ twisted difference equations of order two; the one for the second
 coordinate carries an explicit inhomogeneous term built from the first.
 """
 
+from carlitz_vmf.carlitz import b_poly_twist
 from carlitz_vmf.context import Context
 from carlitz_vmf.forms import gen_Delta, gen_g
-from carlitz_vmf.polys import Poly, RatFunc
+from carlitz_vmf.polys import RatFunc
 from carlitz_vmf.scalars import GradedScalar
 from carlitz_vmf.vmf import (eis1, legendre_fstar, tau_omega_inv, tau_vmf,
                              det_pair, lambda_1)
@@ -33,21 +34,21 @@ print("det[F*, tau F*] == lambda_1 / h:", pairing.series.eq_to_prec(expect))
 # the second-order twisted equation for d3
 g = gen_g(ctx, N).series
 Delta = gen_Delta(ctx, N).series
-tq = Poly(ctx.ring, {(q, 0): ctx.ring.field.one})
+b0 = b_poly_twist(ctx, 1, 0)  # t - theta
+b1 = b_poly_twist(ctx, 1, 1)  # t - theta^q
 inner = d2 + (d2 - g * d2.tau()).scale(
-    ctx.gs_rat(RatFunc(ctx.ring.one, ctx.ring.t - tq))).shift(-(q - 1))
+    GradedScalar.from_rat(RatFunc(ctx.ring.one, b1))).shift(-(q - 1))
 psi = inner.shift(-1).scale(tau_omega_inv(ctx))
-rhs = (Delta * d3.tau().tau()).scale(ctx.gs(ctx.ring.t - tq)) + g * d3.tau() + psi
+rhs = (Delta * d3.tau().tau()).scale(GradedScalar.from_poly(b1)) \
+    + g * d3.tau() + psi
 print("d3 == (t - theta^q) Delta tau^2(d3) + g tau(d3) + psi:",
       d3.eq_to_prec(rhs))
 
 # and the weight-one series' own difference equation, in gauge form
-s = GradedScalar(ctx.ring,
-                 {(0, 1): RatFunc(-(ctx.ring.t - ctx.ring.theta), None)})
-Y = eis1(ctx, N).scale(s)
+Y = eis1(ctx, N).scale(GradedScalar.from_poly(-b0, 0, 1))
 tY = tau_vmf(Y)
 ttY = tau_vmf(tY)
-DeltaB = Delta.scale(ctx.gs(ctx.ring.t - tq))
+DeltaB = Delta.scale(GradedScalar.from_poly(b1))
 ok = all(
     getattr(ttY, c).eq_to_prec(getattr(Y, c) * DeltaB + getattr(tY, c) * g ** q)
     for c in ("h1", "h3"))

@@ -1,7 +1,7 @@
 """Exact u-expansion arithmetic for Tate-algebra valued vectorial
 Drinfeld modular forms over F_q[theta]."""
 
-from .context import Context, default_context
+from .context import Context
 from .errors import (CarlitzVMFError, EvaluationPoleError, MixedGradeError,
                      NotInSpanError, NotIrreducibleError, NotTauImageError,
                      PrecisionError)
@@ -11,7 +11,7 @@ from .scalars import GradedScalar
 from .useries import USeries
 
 __all__ = [
-    "Context", "default_context", "GF", "Poly", "PolyRing", "RatFunc",
+    "Context", "GF", "Poly", "PolyRing", "RatFunc",
     "GradedScalar", "USeries", "CarlitzVMFError", "EvaluationPoleError",
     "MixedGradeError", "NotInSpanError", "NotIrreducibleError",
     "NotTauImageError", "PrecisionError",

@@ -69,9 +69,6 @@ class GossPoly:
         self.k = k
         self.coeffs = coeffs  # X-exponent -> RatFunc
 
-    def degree(self):
-        return max(self.coeffs, default=0)
-
     def __repr__(self):
         terms = [f"({c})*X^{e}" for e, c in sorted(self.coeffs.items())]
         return f"G_{self.k} = " + " + ".join(terms)
@@ -125,17 +122,10 @@ def carlitz_binomial(ctx: Context, i: int, a) -> GradedScalar:
     return GradedScalar.from_rat(RatFunc(prod, ctx.D(i)))
 
 
-def b_poly(ctx: Context, l: int) -> RatFunc:
-    """b_l(t) = prod_{j<l} (t - theta^(q^j)), b_0 = 1."""
-    out = ctx.ring.one
-    f = ctx.ring.field
-    for j in range(l):
-        out = out * (ctx.ring.t - Poly(ctx.ring, {(ctx.q ** j, 0): f.one}))
-    return RatFunc(out, None, reduce=False)
-
-
 def b_poly_twist(ctx: Context, l: int, n: int) -> Poly:
-    """tau^n(b_l) = prod_{j<l} (t - theta^(q^(j+n)))."""
+    """tau^n(b_l) = prod_{j<l} (t - theta^(q^(j+n))), where
+    b_l = prod_{j<l} (t - theta^(q^j)) and tau^l(om) = b_l om; the one
+    builder of products of the factors t - theta^(q^j)."""
     out = ctx.ring.one
     f = ctx.ring.field
     for j in range(l):

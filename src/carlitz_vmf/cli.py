@@ -53,38 +53,37 @@ def parse_prime(ctx: Context, text: str):
     return out
 
 
-FORM_SELECTORS = ("g", "h", "Delta", "E", "goss_eis:m", "fs:s", "para:k",
-                  "E1", "Ek:k", "fstar", "d2", "d3")
+# compute selector -> (artifact kind, builder, name of its integer argument);
+# a builder with an argument is called as builder(ctx, argument, N)
+FORM_SELECTORS = {
+    "g": ("classical", gen_g, None),
+    "h": ("classical", gen_h, None),
+    "Delta": ("classical", gen_Delta, None),
+    "E": ("classical", gen_E, None),
+    "goss_eis": ("classical", gen_goss_eis, "m"),
+    "fs": ("classical", gen_fs, "s"),
+    "para": ("classical", para_eisenstein, "k"),
+    "E1": ("vmform", eis1, None),
+    "Ek": ("vmform", eis_k, "k"),
+    "fstar": ("vmform", lambda ctx, N: legendre_fstar(ctx, N)[0], None),
+    "d2": ("series", lambda ctx, N: legendre_fstar(ctx, N)[1], None),
+    "d3": ("series", lambda ctx, N: legendre_fstar(ctx, N)[2], None),
+}
+_SELECTOR_NAMES = ", ".join(n + ":" + a if a else n
+                            for n, (_, _, a) in FORM_SELECTORS.items())
+_TO_JSON = {"classical": ser.classical_to_json, "vmform": ser.vmform_to_json,
+            "series": ser.series_to_json}
 
 
 def compute_artifact(ctx: Context, selector: str, N: int):
     """Returns (kind, trunc, payload)."""
     name, _, arg = selector.partition(":")
-    if name == "g":
-        return "classical", N, ser.classical_to_json(gen_g(ctx, N))
-    if name == "h":
-        return "classical", N, ser.classical_to_json(gen_h(ctx, N))
-    if name == "Delta":
-        return "classical", N, ser.classical_to_json(gen_Delta(ctx, N))
-    if name == "E":
-        return "classical", N, ser.classical_to_json(gen_E(ctx, N))
-    if name == "goss_eis":
-        return "classical", N, ser.classical_to_json(gen_goss_eis(ctx, int(arg), N))
-    if name == "fs":
-        return "classical", N, ser.classical_to_json(gen_fs(ctx, int(arg), N))
-    if name == "para":
-        return "classical", N, ser.classical_to_json(para_eisenstein(ctx, int(arg), N))
-    if name == "E1":
-        return "vmform", N, ser.vmform_to_json(eis1(ctx, N))
-    if name == "Ek":
-        return "vmform", N, ser.vmform_to_json(eis_k(ctx, int(arg), N))
-    if name in ("fstar", "d2", "d3"):
-        fstar, d2, d3 = legendre_fstar(ctx, N)
-        if name == "fstar":
-            return "vmform", N, ser.vmform_to_json(fstar)
-        return "series", N, ser.series_to_json(d2 if name == "d2" else d3)
-    raise ValueError(f"unknown form selector {selector!r}; "
-                     f"choose from {', '.join(FORM_SELECTORS)}")
+    if name not in FORM_SELECTORS:
+        raise ValueError(f"unknown form selector {selector!r}; "
+                         f"choose from {_SELECTOR_NAMES}")
+    kind, build, arg_name = FORM_SELECTORS[name]
+    obj = build(ctx, int(arg), N) if arg_name else build(ctx, N)
+    return kind, N, _TO_JSON[kind](obj)
 
 
 def cache_dir_from(args) -> str:
@@ -136,8 +135,8 @@ def cmd_compute(args) -> int:
         return 2
     N = args.trunc
     selector = args.form
-    vectorial = selector.split(":")[0] in ("E1", "Ek", "fstar", "d2", "d3")
-    if vectorial and N < ctx.q + 2:
+    kind = FORM_SELECTORS.get(selector.partition(":")[0], ("classical",))[0]
+    if kind != "classical" and N < ctx.q + 2:
         print(f"error: vectorial jobs need trunc >= q+2 = {ctx.q + 2}",
               file=sys.stderr)
         return 2
@@ -301,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("compute", help="compute and serialize one artifact")
     common(pc)
     pc.add_argument("--form", required=True,
-                    help="selector: " + ", ".join(FORM_SELECTORS))
+                    help="selector: " + _SELECTOR_NAMES)
     pc.add_argument("--out", help="output path (default: stdout)")
     pc.add_argument("--cache-dir", help="cache directory "
                     "(or env CARLITZ_VMF_CACHE)")

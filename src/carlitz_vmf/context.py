@@ -8,11 +8,10 @@ with the coefficient field enlarged to F_{q^d}.
 
 from __future__ import annotations
 
-import functools
 from itertools import product
 
 from .fields import GF, PolyExtField, field_from_order
-from .polys import Poly, PolyRing, RatFunc, _univar_gcd
+from .polys import Poly, PolyRing, _univar_gcd
 from .scalars import GradedScalar
 
 
@@ -50,22 +49,12 @@ class Context:
             self.cache[key] = fn()
         return self.cache[key]
 
-    # -- scalar builders ---------------------------------------------------
-
     def gs(self, p: Poly, pi: int = 0, om: int = 0) -> GradedScalar:
+        """`GradedScalar.from_poly`, kept only because
+        `perfbench/workloads.py` calls it; build scalars with the
+        `GradedScalar` constructors instead.  It goes with the next change
+        to the benchmark."""
         return GradedScalar.from_poly(p, pi, om)
-
-    def gs_rat(self, r: RatFunc, pi: int = 0, om: int = 0) -> GradedScalar:
-        return GradedScalar.from_rat(r, pi, om)
-
-    def gs_int(self, n: int) -> GradedScalar:
-        return GradedScalar.from_int(self.ring, n)
-
-    def gs_one(self) -> GradedScalar:
-        return GradedScalar.one(self.ring)
-
-    def gs_zero(self) -> GradedScalar:
-        return GradedScalar.zero(self.ring)
 
     # -- A = F_q[theta] ------------------------------------------------------
 
@@ -197,7 +186,3 @@ def _prime_factors(n):
         out.append(n)
     return out
 
-
-@functools.cache
-def default_context(q: int) -> Context:
-    return Context(q)

@@ -61,19 +61,6 @@ class ClassicalForm:
         return f"ClassicalForm(weight={self.weight}, type={self.type_}, {self.series})"
 
 
-class QuasiPair:
-    """Depth-graded components (f_0, ..., f_l) of a quasi-modular form."""
-
-    __slots__ = ("components",)
-
-    def __init__(self, components):
-        self.components = tuple(components)
-
-    @property
-    def depth(self):
-        return len(self.components) - 1
-
-
 def a_expansion(ctx: Context, coeff_fn, k: int, N: int) -> USeries:
     """sum over monic a of coeff_fn(a) * G_k(u(a z)), exact below u^N.
 
@@ -96,7 +83,8 @@ def a_expansion(ctx: Context, coeff_fn, k: int, N: int) -> USeries:
 def gen_E(ctx: Context, N: int) -> ClassicalForm:
     """False Eisenstein series of weight 2, type 1: sum a u(az)."""
     def build():
-        s = a_expansion(ctx, lambda a: ctx.gs(ctx.apoly(a)), 1, N)
+        s = a_expansion(ctx, lambda a: GradedScalar.from_poly(ctx.apoly(a)), 1,
+                        N)
         return ClassicalForm(ctx, 2, 1, s)
 
     return ctx.memo(("E", N), build)
@@ -107,8 +95,8 @@ def gen_g(ctx: Context, N: int) -> ClassicalForm:
     def build():
         q = ctx.q
         br = ctx.D(1)
-        s = a_expansion(ctx, lambda a: ctx.gs_one(), q - 1, N)
-        series = USeries.one(ctx, N) - s.scale(ctx.gs(br))
+        s = a_expansion(ctx, lambda a: GradedScalar.one(ctx.ring), q - 1, N)
+        series = USeries.one(ctx, N) - s.scale(GradedScalar.from_poly(br))
         return ClassicalForm(ctx, q - 1, 0, series)
 
     return ctx.memo(("g", N), build)
@@ -123,7 +111,8 @@ def gen_Delta(ctx: Context, N: int) -> ClassicalForm:
     def build():
         q = ctx.q
         s = a_expansion(
-            ctx, lambda a: ctx.gs(ctx.apoly(a) ** (q * q - q)), q - 1, N
+            ctx, lambda a: GradedScalar.from_poly(ctx.apoly(a) ** (q * q - q)),
+            q - 1, N
         )
         return ClassicalForm(ctx, q * q - 1, 0, -s)
 
@@ -135,7 +124,8 @@ def gen_fs(ctx: Context, s: int, N: int) -> ClassicalForm:
     if s < 1:
         raise ValueError("s must be positive")
     exp = 1 + s * (ctx.q - 1)
-    series = a_expansion(ctx, lambda a: ctx.gs(ctx.apoly(a) ** exp), 1, N)
+    series = a_expansion(
+        ctx, lambda a: GradedScalar.from_poly(ctx.apoly(a) ** exp), 1, N)
     return ClassicalForm(ctx, 2 + s * (ctx.q - 1), 1, series)
 
 
@@ -144,7 +134,7 @@ def gen_goss_eis(ctx: Context, m: int, N: int) -> ClassicalForm:
     -zeta_ratio(m) - sum_a G_m(u(az))."""
     def build():
         zr = zeta_ratio(ctx, m)
-        s = a_expansion(ctx, lambda a: ctx.gs_one(), m, N)
+        s = a_expansion(ctx, lambda a: GradedScalar.one(ctx.ring), m, N)
         series = USeries.const(ctx, -zr, N) - s
         return ClassicalForm(ctx, m, 0, series)
 
@@ -156,7 +146,7 @@ def ramanujan_serre(ctx: Context, f: ClassicalForm) -> ClassicalForm:
     N = f.series.prec
     pi_inv = GradedScalar(ctx.ring, {(-1, 0): RatFunc(ctx.ring.one, None, reduce=False)})
     d = dz(f.series, 1).scale(pi_inv)
-    kE = ctx.gs_int(f.weight)
+    kE = GradedScalar.from_int(ctx.ring, f.weight)
     if kE.is_zero():
         series = d
     else:
@@ -180,7 +170,8 @@ def gen_h(ctx: Context, N: int) -> ClassicalForm:
 
 def gen_h_a_expansion(ctx: Context, N: int) -> ClassicalForm:
     """Independent route to h: -sum a^q u(az)."""
-    series = -a_expansion(ctx, lambda a: ctx.gs(ctx.apoly(a) ** ctx.q), 1, N)
+    series = -a_expansion(
+        ctx, lambda a: GradedScalar.from_poly(ctx.apoly(a) ** ctx.q), 1, N)
     return ClassicalForm(ctx, ctx.q + 1, 1, series)
 
 
@@ -198,7 +189,8 @@ def para_eisenstein(ctx: Context, k: int, N: int) -> ClassicalForm:
             return ClassicalForm(ctx, 0, 0, USeries.one(ctx, N))
         g = gen_g(ctx, N)
         if k == 1:
-            series = g.series.scale(ctx.gs_rat(RatFunc(ctx.ring.one, ctx.D(1))))
+            series = g.series.scale(
+                GradedScalar.from_rat(RatFunc(ctx.ring.one, ctx.D(1))))
             return ClassicalForm(ctx, ctx.q - 1, 0, series)
         Delta = gen_Delta(ctx, N)
         am1 = para_eisenstein(ctx, k - 1, N)
@@ -208,7 +200,7 @@ def para_eisenstein(ctx: Context, k: int, N: int) -> ClassicalForm:
         den = Poly(ctx.ring, {(q ** k, 0): f.one}) - ctx.ring.theta
         series = (
             g.series * am1.series ** q + Delta.series * am2.series ** (q * q)
-        ).scale(ctx.gs_rat(RatFunc(ctx.ring.one, den)))
+        ).scale(GradedScalar.from_rat(RatFunc(ctx.ring.one, den)))
         return ClassicalForm(ctx, q ** k - 1, 0, series)
 
     return ctx.memo(("para", k, N), build)
@@ -339,16 +331,8 @@ def level_Ep(ctx: Context, p, N: int) -> ClassicalForm:
     if not ctx.is_irreducible(p):
         raise NotIrreducibleError(f"{p} is not irreducible")
     E = gen_E(ctx, N)
-    scaled = scale_arg(E.series, p, N).scale(ctx.gs(ctx.apoly(p)))
+    scaled = scale_arg(E.series, p, N).scale(GradedScalar.from_poly(ctx.apoly(p)))
     return ClassicalForm(ctx, 2, 1, E.series - scaled)
-
-
-def quasi_E_pair(ctx: Context, N: int) -> QuasiPair:
-    """Depth-1 data of E: components (E, -1/pi)."""
-    minus_pi_inv = GradedScalar(
-        ctx.ring, {(-1, 0): RatFunc(-ctx.ring.one, None, reduce=False)}
-    )
-    return QuasiPair((gen_E(ctx, N).series, USeries.const(ctx, minus_pi_inv)))
 
 
 def w_involution_check(ctx: Context, p, N: int):
@@ -362,8 +346,8 @@ def w_involution_check(ctx: Context, p, N: int):
     if not ctx.is_irreducible(p):
         raise NotIrreducibleError(f"{p} is not irreducible")
     ring = ctx.ring
-    one = ctx.gs_one()
-    pp = ctx.gs(ctx.apoly(p))
+    one = GradedScalar.one(ctx.ring)
+    pp = GradedScalar.from_poly(ctx.apoly(p))
     pi_inv = GradedScalar(ring, {(-1, 0): RatFunc(ring.one, None, reduce=False)})
 
     def add_into(d, key, val):

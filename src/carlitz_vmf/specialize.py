@@ -290,18 +290,6 @@ def phi_rep(ctx: Context, n: int, a, rctx: RootContext | None = None):
     return out
 
 
-def phi_matrix_mul(field, A, B):
-    n = len(A)
-    out = [[field.zero] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc = field.zero
-            for k in range(n):
-                acc = field.add(acc, field.mul(A[i][k], B[k][j]))
-            out[i][j] = acc
-    return out
-
-
 def enumerate_primes(ctx: Context, max_degree: int):
     """Monic irreducibles over F_q up to the given degree, (degree, lex)."""
     out = []

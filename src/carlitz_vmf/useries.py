@@ -39,8 +39,6 @@ class USeries:
         if prec is not None:
             coeffs = {n: c for n, c in coeffs.items() if n < prec}
         coeffs = {n: c for n, c in coeffs.items() if not c.is_zero()}
-        if coeffs and min(coeffs) < -(ctx.q ** 6):
-            raise ArithmeticError("Laurent tail below the configured floor")
         self.ctx = ctx
         self.c = coeffs
         self.prec = prec
@@ -602,7 +600,8 @@ def dz(f: USeries, n: int) -> USeries:
     terms = []
     for x, c in goss_poly(ctx, period_lattice(ctx), n + 1).coeffs.items():
         r = x - 1
-        fr = {m: cm if b == 1 else cm * ctx.gs_int(b) for m, cm in f.c.items()
+        fr = {m: cm if b == 1 else cm * GradedScalar.from_int(ctx.ring, b)
+              for m, cm in f.c.items()
               if (b := _binom_neg(m, r, ctx.p))}
         terms.append((GradedScalar.from_rat(c, n), USeries(ctx, fr, f.prec), r))
     return USeries.lincomb(ctx, terms, None if f.prec is None else f.prec + 1)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 
-from .carlitz import goss_poly, period_lattice, zeta_ratio
+from .carlitz import b_poly_twist, goss_poly, period_lattice, zeta_ratio
 from .context import Context
 from .errors import CarlitzVMFError, PrecisionError
 from .forms import (ClassicalForm, a_expansion, gen_Delta, gen_E, gen_fs,
@@ -78,14 +78,16 @@ def prime_theta_plus(ctx, c: int):
 # -- 1. generator expansions ---------------------------------------------------
 
 
-def suite_generators(q: int, N: int = 60, *, checks: list) -> dict:
+def suite_generators(q: int, N: int | None = None, *, checks: list) -> dict:
     ctx = Context(q)
     v = q - 1
+    if N is None:
+        N = max(60, v * v + 2)  # E is read at u^(1 + (q-1)^2)
     top = v * (q * q - q + 1)
     Ng = max(N, top + 2)
     g = gen_g(ctx, Ng)
-    one = ctx.gs_one()
-    br = ctx.gs(ctx.D(1))
+    one = GradedScalar.one(ctx.ring)
+    br = GradedScalar.from_poly(ctx.D(1))
     _chk(checks, "g constant term = 1", g.series.coeff(0) == one)
     _chk(checks, "g coefficient at v = -[1]", g.series.coeff(v) == -br)
     _chk(checks, "g coefficient at v^(q^2-q+1) = -[1]",
@@ -134,9 +136,8 @@ def suite_det(q: int, N: int = 40, *, checks: list) -> dict:
 
 def _normalized_e1(ctx, N):
     """Y = -(t-theta) om * E1: the L-normalized weight-one series."""
-    s = GradedScalar(ctx.ring,
-                     {(0, 1): RatFunc(-(ctx.ring.t - ctx.ring.theta), None)})
-    return eis1(ctx, N).scale(s)
+    return eis1(ctx, N).scale(
+        GradedScalar.from_poly(-b_poly_twist(ctx, 1, 0), 0, 1))
 
 
 def suite_tau_difference(q: int, N: int = 40, kmax: int = 3,
@@ -147,9 +148,7 @@ def suite_tau_difference(q: int, N: int = 40, kmax: int = 3,
     ttY = tau_vmf(tY)
     g = gen_g(ctx, N)
     Delta = gen_Delta(ctx, N)
-    f = ctx.ring.field
-    bracket = ctx.gs(ctx.ring.t - Poly(ctx.ring, {(q, 0): f.one}))  # t - theta^q
-    DeltaB = Delta.series.scale(bracket)
+    DeltaB = Delta.series.scale(GradedScalar.from_poly(b_poly_twist(ctx, 1, 1)))
     gq = g.series ** q
     for coord in ("h1", "h3"):
         _chk_same(checks, f"difference equation on {coord}", getattr(ttY, coord),
@@ -212,7 +211,7 @@ def suite_hecke_eigen(q: int, N: int | None = None, primes=None,
                                ("T_p Eq = p^q Eq", eqf, ppol ** q),
                                ("T_p(h F*) = p h F*", hf, ppol)):
             _chk_same(checks, f"{name} at p={p}", hecke(ctx, p, H),
-                      H.scale(ctx.gs(eigen)))
+                      H.scale(GradedScalar.from_poly(eigen)))
     return _report("hecke-eigen", q, N, checks)
 
 
@@ -227,7 +226,7 @@ def suite_hecke_mult_tau(q: int, N: int | None = None,
     both = hecke(ctx, p1, hecke(ctx, p2, e1))
     swap = hecke(ctx, p2, hecke(ctx, p1, e1))
     _chk_same(checks, "T_p T_q E1 = pq E1", both,
-              e1.scale(ctx.gs(ctx.apoly(p1) * ctx.apoly(p2))))
+              e1.scale(GradedScalar.from_poly(ctx.apoly(p1) * ctx.apoly(p2))))
     _chk_same(checks, "T_p T_q = T_q T_p on E1", both, swap)
     fstar, _, _ = legendre_fstar(ctx, N)
     hf = fstar.mul_classical(gen_h(ctx, N))
@@ -240,30 +239,30 @@ def suite_hecke_mult_tau(q: int, N: int | None = None,
 # -- 6. Legendre pair -----------------------------------------------------------
 
 
-def suite_legendre(q: int, N: int = 64, *, checks: list) -> dict:
+def suite_legendre(q: int, N: int | None = None, *, checks: list) -> dict:
+    if N is None:
+        N = max(64, (q - 1) * q * q + 1)  # d2 is read at u^((q-1) q^2)
     ctx = Context(q)
     fstar, d2, d3 = legendre_fstar(ctx, N)
-    tm = ctx.ring.t - ctx.ring.theta
+    b0 = b_poly_twist(ctx, 1, 0)  # t - theta
+    b1 = b_poly_twist(ctx, 1, 1)  # t - theta^q
+    sb0 = GradedScalar.from_poly(b0)
     v = q - 1
     exps = [0, v, v * (q * q - q + 1), v * q * q]
-    expect = [ctx.gs_one(), -ctx.gs(tm), ctx.gs(tm), -ctx.gs(tm)]
+    expect = [GradedScalar.one(ctx.ring), -sb0, sb0, -sb0]
     for e, want in zip(exps, expect):
         got = d2.coeff(e)
         _chk(checks, f"d2 displayed coefficient at u^{e}", got == want,
              detail=f"got {got}, displayed {want}")
 
-    s = GradedScalar(ctx.ring, {(0, 1): RatFunc(tm, None)})
-    tad3 = d3.scale(s)  # tau(om) d3
+    tad3 = d3.scale(GradedScalar.from_poly(b0, 0, 1))  # tau(om) d3
     base = q - 2
     if q > 2:
-        pts = [(base, -ctx.gs(tm)),
-               (base + q * v * v, -ctx.gs(tm))]
+        pts = [(base, -sb0), (base + q * v * v, -sb0)]
         zero_range = range(base + 1, base + q * v * v)
     else:
-        th = ctx.ring.theta
-        one = ctx.ring.one
-        pts = [(0, ctx.gs(th + ctx.ring.t)),
-               (2, ctx.gs(ctx.ring.one + th + ctx.ring.t))]
+        # displayed as theta + t = t - theta and 1 + theta + t
+        pts = [(0, sb0), (2, GradedScalar.one(ctx.ring) + sb0)]
         zero_range = range(1, 2)
     for e, want in pts:
         got = tad3.coeff(e)
@@ -276,12 +275,10 @@ def suite_legendre(q: int, N: int = 64, *, checks: list) -> dict:
     # the second-order twisted equation under the tau-reading of d2^(1)
     g = gen_g(ctx, N).series
     Delta = gen_Delta(ctx, N).series
-    f = ctx.ring.field
-    tq = Poly(ctx.ring, {(q, 0): f.one})
     inner = d2 + (d2 - g * d2.tau()).scale(
-        ctx.gs_rat(RatFunc(ctx.ring.one, ctx.ring.t - tq))).shift(-(q - 1))
+        GradedScalar.from_rat(RatFunc(ctx.ring.one, b1))).shift(-(q - 1))
     psi = inner.shift(-1).scale(tau_omega_inv(ctx))
-    rhs = (Delta * d3.tau().tau()).scale(ctx.gs(ctx.ring.t - tq)) \
+    rhs = (Delta * d3.tau().tau()).scale(GradedScalar.from_poly(b1)) \
         + g * d3.tau() + psi
     _chk_same(checks, "d3 = (t-theta^q) Delta tau^2(d3) + g tau(d3) + psi",
               d3, rhs)
@@ -289,10 +286,9 @@ def suite_legendre(q: int, N: int = 64, *, checks: list) -> dict:
     # psi's displayed leading expansion:
     # coefficients are tau(om)^{-1} * {theta-t, 1, theta-theta^q}
     toi = tau_omega_inv(ctx)
-    want = [(base, toi.mul_rat(RatFunc(ctx.ring.theta - ctx.ring.t, None))),
+    want = [(base, toi.mul_rat(RatFunc(-b0, None))),
             (base + v * v, toi),
-            (base + v * q,
-             toi.mul_rat(RatFunc(ctx.ring.theta - tq, None)))]
+            (base + v * q, toi.mul_rat(RatFunc(b1 - b0, None)))]
     for e, w in want:
         got = psi.coeff(e)
         _chk(checks, f"psi displayed coefficient at u^{e}", got == w,
@@ -354,14 +350,15 @@ def suite_specialize_petrov(q: int, N: int | None = None,
 
     # para-Eisenstein ratio at k = 1: (D_1 alphahat_1)^q f_1 = f_(q+1)
     a1 = para_eisenstein(ctx, 1, N)
-    lhs = (a1.series.scale(ctx.gs(ctx.D(1)))) ** q * gen_fs(ctx, 1, N).series
+    lhs = (a1.series.scale(GradedScalar.from_poly(ctx.D(1)))) ** q \
+        * gen_fs(ctx, 1, N).series
     _chk_same(checks, "para-Eisenstein ratio identity at k=1", lhs,
               gen_fs(ctx, q + 1, N).series)
 
     # Ramanujan-Serre comparison at k = 2q-1
     k = 2 * q - 1
     ekk = eis_k(ctx, k, N)
-    det = det_pair(e1, ekk.scale(ctx.gs_int(k - 1)))
+    det = det_pair(e1, ekk.scale(GradedScalar.from_int(ctx.ring, k - 1)))
     rs = ramanujan_serre(ctx, gen_goss_eis(ctx, k - 1, N))
     _chk_same(checks, "ev_theta det[E1,(k-1)Ek] = -pi^(-1) RS(E^(k-1))",
               det.series.eval_theta_power(0), rs.series.scale(minus_pi_inv))
@@ -433,7 +430,7 @@ def coset_power_sums(ctx: Context, p, base: USeries, K: int):
     R = {0: USeries.one(ctx)}
     for i, c in enumerate(coeffs[:-1]):
         if not c.is_zero():
-            R[M - ctx.q ** i] = USeries.const(ctx, ctx.gs(c))
+            R[M - ctx.q ** i] = USeries.const(ctx, GradedScalar.from_poly(c))
     R[M] = -e
     minus_base = -base
     # coefficients of the monic reversed polynomial, indexed from the top:
@@ -446,7 +443,7 @@ def coset_power_sums(ctx: Context, p, base: USeries, K: int):
     for n in range(1, K + 1):
         acc = USeries.zero(ctx)
         if n <= M and n in ehat:
-            acc = acc + ehat[n].scale(ctx.gs_int(n))
+            acc = acc + ehat[n].scale(GradedScalar.from_int(ctx.ring, n))
         for i in range(1, min(n, M + 1)):
             if i in ehat:
                 acc = acc + ehat[i] * prev[n - i - 1]
@@ -480,7 +477,8 @@ def suite_oracles(q: int, N: int | None = None, *, checks: list) -> dict:
         Sa = u_scale(ctx, a, N)
         for k in range(1, q + 2):
             lhs = trace_div(goss_series(ctx, L, k, Sa), p)
-            rhs = goss_series(ctx, L, k, Sa).scale(ctx.gs(ctx.apoly(p) ** k))
+            rhs = goss_series(ctx, L, k, Sa).scale(
+                GradedScalar.from_poly(ctx.apoly(p) ** k))
             sums = coset_power_sums(ctx, p, Sa, k * 2 + 2)
             gk = goss_poly(ctx, L, k)
             brute = USeries.zero(ctx, lhs._p())
@@ -510,7 +508,7 @@ def suite_oracles(q: int, N: int | None = None, *, checks: list) -> dict:
     # the weight-raising identity for the derivative of the Eisenstein series
     k = 2 * q - 1
     lhs = dz(gen_goss_eis(ctx, k - 1, N).series, 1)
-    rhs = a_expansion(ctx, lambda a: ctx.gs(ctx.apoly(a)), k, N)
+    rhs = a_expansion(ctx, lambda a: GradedScalar.from_poly(ctx.apoly(a)), k, N)
     pi1 = GradedScalar(ctx.ring, {(1, 0): RatFunc(ctx.ring.from_int(k - 1), None)})
     _chk_same(checks, "derivative of E^(k-1) against the weighted expansion",
               lhs, rhs.scale(pi1))
@@ -525,7 +523,8 @@ def suite_oracles(q: int, N: int | None = None, *, checks: list) -> dict:
     # and the Eisenstein constant consistency with the g display
     Ehat = gen_goss_eis(ctx, q - 1, N)
     _chk_same(checks, "[1] * E^(q-1)-normalized == g",
-              Ehat.series.scale(ctx.gs(ctx.D(1))), gen_g(ctx, N).series)
+              Ehat.series.scale(GradedScalar.from_poly(ctx.D(1))),
+              gen_g(ctx, N).series)
     return _report("oracles", q, N, checks)
 
 
@@ -657,7 +656,7 @@ def suite_properties(q: int, N: int = 24, seed: int = 7, cases: int = 10,
     ok = True
 
     def random_form(weight, pairs):
-        terms = [(ctx.gs_int(rng.randrange(ctx.p)), b, 0)
+        terms = [(GradedScalar.from_int(ctx.ring, rng.randrange(ctx.p)), b, 0)
                  for b in gh_basis(ctx, pairs, Nd)]
         return ClassicalForm(ctx, weight, 0, USeries.lincomb(ctx, terms, Nd))
 
@@ -722,7 +721,7 @@ def suite_experimental(q: int, N: int = 64, *, checks: list) -> dict:
     he1 = e1.mul_classical(hN)
     p = prime_theta(ctx)
     T = hecke(ctx, p, he1)
-    expect = he1.scale(ctx.gs(ctx.apoly(p) ** 2))
+    expect = he1.scale(GradedScalar.from_poly(ctx.apoly(p) ** 2))
     d = T.first_difference(expect)
     checks.append({
         "name": "T_p(h E1) compared with p^2 h E1",

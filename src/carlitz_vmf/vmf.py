@@ -30,7 +30,7 @@ from .errors import (CarlitzVMFError, NotInSpanError, NotIrreducibleError,
                      PrecisionError)
 from .forms import (ClassicalForm, a_expansion, gen_goss_eis, gen_h, gh_basis,
                     gh_monomials, solve_in_span)
-from .polys import Poly, RatFunc
+from .polys import RatFunc
 from .scalars import GradedScalar
 from .useries import (USeries, goss_series, quotients, scale_arg, trace_div,
                       u_scale)
@@ -127,9 +127,8 @@ class VMForm:
 
 def tau_omega_inv(ctx: Context) -> GradedScalar:
     """((t - theta) om)^(-1), the twisted reciprocal unit."""
-    return GradedScalar(
-        ctx.ring, {(0, -1): RatFunc(ctx.ring.one, ctx.ring.t - ctx.ring.theta)}
-    )
+    return GradedScalar.from_rat(RatFunc(ctx.ring.one, b_poly_twist(ctx, 1, 0)),
+                                 0, -1)
 
 
 def lambda_1(ctx: Context) -> GradedScalar:
@@ -139,9 +138,8 @@ def lambda_1(ctx: Context) -> GradedScalar:
 
 def lambda_q(ctx: Context) -> GradedScalar:
     """1/((t - theta^q)(t - theta) om)."""
-    tq = Poly(ctx.ring, {(ctx.q, 0): ctx.ring.field.one})
-    den = (ctx.ring.t - tq) * (ctx.ring.t - ctx.ring.theta)
-    return GradedScalar(ctx.ring, {(0, -1): RatFunc(ctx.ring.one, den)})
+    return GradedScalar.from_rat(RatFunc(ctx.ring.one, b_poly_twist(ctx, 2, 0)),
+                                 0, -1)
 
 
 # -- the character correction --------------------------------------------------
@@ -188,7 +186,7 @@ def _eis_sums(ctx: Context, k: int, N: int):
         cc = chi_correction(ctx, a).c
         S = u_scale(ctx, a, N - min(cc, default=0))  # min(cc) = -s
         G = S if k == 1 else goss_series(ctx, L, k, S)
-        h1.append((-ctx.gs(ctx.chi(a)), G, 0))
+        h1.append((-GradedScalar.from_poly(ctx.chi(a)), G, 0))
         chi += [(c, G, n) for n, c in cc.items()]
     return USeries.lincomb(ctx, h1, N), USeries.lincomb(ctx, chi, N)
 
@@ -212,7 +210,7 @@ def eis_q(ctx: Context, N: int) -> VMForm:
     def build():
         q = ctx.q
         h1, chi = _eis_sums(ctx, q, N)
-        mid = a_expansion(ctx, lambda a: ctx.gs_one(), q - 1, N)
+        mid = a_expansion(ctx, lambda a: GradedScalar.one(ctx.ring), q - 1, N)
         h3 = (USeries.const(ctx, lambda_q(ctx), N) + chi
               + mid.scale(tau_omega_inv(ctx)))
         return VMForm(ctx, q, 0, h1, h3, regular=True, lam=lambda_q(ctx))
@@ -266,8 +264,8 @@ def hecke(ctx: Context, p, H: VMForm) -> VMForm:
             "the Hecke operator is only closed on forms regular at infinity"
         )
     k = H.k
-    pk = ctx.gs(ctx.apoly(p) ** k)
-    chip = ctx.gs(ctx.chi(p))
+    pk = GradedScalar.from_poly(ctx.apoly(p) ** k)
+    chip = GradedScalar.from_poly(ctx.chi(p))
     P1 = H.h1._p()
     P3 = H.h3._p()
     if P1 == math.inf or P3 == math.inf:
@@ -392,10 +390,10 @@ def extract_lambda(ctx: Context, k: int, h3: USeries, chi: USeries, N: int):
         w = k - q ** l
         E_l = gen_goss_eis(ctx, w, N)
         zr = zeta_ratio(ctx, w)
-        tq = Poly(ctx.ring, {(q ** l, 0): ctx.ring.field.one})
-        den = (tq - ctx.ring.t) * ctx.D(l)
-        coef = GradedScalar(ctx.ring, {(0, -1): RatFunc(ctx.ring.one, den)})
-        eis.append((-coef, USeries.const(ctx, zr, N) + E_l.series, 0))
+        # -1/((theta^(q^l) - t) D_l) om^(-1), from om's residue at theta^(q^l)
+        den = b_poly_twist(ctx, 1, l) * ctx.D(l)
+        coef = GradedScalar.from_rat(RatFunc(ctx.ring.one, den), 0, -1)
+        eis.append((coef, USeries.const(ctx, zr, N) + E_l.series, 0))
         l += 1
     rest = h3 - chi + USeries.lincomb(ctx, eis, N)
     nonconst = {n: c for n, c in rest.c.items() if n != 0}

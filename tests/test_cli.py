@@ -11,7 +11,8 @@ from carlitz_vmf import verify
 from carlitz_vmf.cli import BENCH_GRID, main, parse_prime
 from carlitz_vmf.context import Context
 from carlitz_vmf.errors import EvaluationPoleError, PrecisionError
-from carlitz_vmf.forms import gen_g
+from carlitz_vmf.forms import ClassicalForm, gen_g
+from carlitz_vmf.useries import USeries
 from conftest import shared_context
 
 
@@ -153,6 +154,32 @@ def test_run_suite_keeps_the_checks_before_an_exception(monkeypatch):
     assert failed["ok"] is False
     assert failed["detail"] == "EvaluationPoleError: pole"
     assert rep["first_discrepancy"]["check"] == failed["name"]
+
+
+def _asked_truncations(monkeypatch, suite, builder, qs):
+    """The N that each default run of ``suite`` hands ``builder``; the stub
+    records it and raises, so no series is built."""
+    asked = []
+
+    def stub(ctx, N):
+        asked.append(N)
+        raise EvaluationPoleError("stub")
+    monkeypatch.setattr(verify, builder, stub)
+    for q in qs:
+        verify.run_suite(suite, q)
+    return asked
+
+
+def test_default_truncations_come_from_q(monkeypatch):
+    # legendre reads d2 at u^((q-1) q^2); N = 64 up to q = 4
+    assert _asked_truncations(monkeypatch, "legendre", "legendre_fstar",
+                              (2, 3, 4, 5)) == [64, 64, 64, 101]
+    # generators reads E at u^(1 + (q-1)^2); g, built first and at q=9 to
+    # u^586, is stubbed by an exact zero series
+    monkeypatch.setattr(verify, "gen_g", lambda ctx, N: ClassicalForm(
+        ctx, ctx.q - 1, 0, USeries.zero(ctx)))
+    assert _asked_truncations(monkeypatch, "generators", "gen_E",
+                              (2, 4, 9)) == [60, 60, 66]
 
 
 def test_verify_all_continues_past_a_raising_suite(monkeypatch, capsys):

@@ -5,7 +5,7 @@ from carlitz_vmf.errors import (NotInSpanError, NotIrreducibleError,
 from carlitz_vmf.forms import (ClassicalForm, a_expansion, express_in_gh,
                                gen_Delta, gen_E, gen_fs, gen_g, gen_goss_eis,
                                gen_h, gen_h_a_expansion, gh_monomials,
-                               level_Ep, para_eisenstein, quasi_E_pair,
+                               level_Ep, para_eisenstein,
                                ramanujan_serre, w_involution_check)
 from carlitz_vmf.polys import RatFunc
 from carlitz_vmf.scalars import GradedScalar
@@ -19,7 +19,7 @@ def test_g_display(ctx):
     top = v * (q * q - q + 1)
     g = gen_g(ctx, top + 4)
     assert g.series.coeff(0).is_one()
-    br = ctx.gs(ctx.D(1))
+    br = GradedScalar.from_poly(ctx.D(1))
     assert g.series.coeff(v) == -br
     assert g.series.coeff(top) == -br
     for n in range(v + 1, top):
@@ -39,13 +39,13 @@ def test_h_leading_and_both_routes(ctx):
     N = 3 * ctx.q
     h = gen_h(ctx, N)
     assert h.series.val() == 1
-    assert h.series.coeff(1) == ctx.gs_int(-1)
+    assert h.series.coeff(1) == GradedScalar.from_int(ctx.ring, -1)
     h2 = gen_h_a_expansion(ctx, N)
     assert h.series.eq_to_prec(h2.series)
     # the displayed second term -u(1 + v^(q-1) + ...)
     e = 1 + (ctx.q - 1) ** 2
     if e < N:
-        assert h.series.coeff(e) == ctx.gs_int(-1)
+        assert h.series.coeff(e) == GradedScalar.from_int(ctx.ring, -1)
 
 
 def test_delta_is_minus_h_power(ctx):
@@ -57,7 +57,7 @@ def test_delta_is_minus_h_power(ctx):
 
 
 def test_a_expansion_zero_coefficient(ctx):
-    z = a_expansion(ctx, lambda a: ctx.gs_zero(), 1, 10)
+    z = a_expansion(ctx, lambda a: GradedScalar.zero(ctx.ring), 1, 10)
     assert z.is_zero()
 
 
@@ -76,9 +76,9 @@ def test_express_in_gh_basics(ctx):
     N = 14
     Delta = gen_Delta(ctx, N)
     expr = express_in_gh(ctx, Delta)
-    assert expr == {(0, ctx.q - 1): ctx.gs_int(-1)}
+    assert expr == {(0, ctx.q - 1): GradedScalar.from_int(ctx.ring, -1)}
     g = gen_g(ctx, N)
-    assert express_in_gh(ctx, g) == {(1, 0): ctx.gs_one()}
+    assert express_in_gh(ctx, g) == {(1, 0): GradedScalar.one(ctx.ring)}
     # E is quasimodular, not modular
     E = gen_E(ctx, N)
     with pytest.raises(NotInSpanError) as exc:
@@ -104,7 +104,7 @@ def test_express_in_gh_round_trip_random(ctx):
         want = {}
         series = USeries.zero(ctx, N)
         for pair in pairs:
-            c = ctx.gs_int(rng.randrange(ctx.p))
+            c = GradedScalar.from_int(ctx.ring, rng.randrange(ctx.p))
             if c.is_zero():
                 continue
             want[pair] = c
@@ -127,16 +127,17 @@ def test_eisenstein_span_nonsingular(ctx):
     g = gen_g(ctx, N)
     combo = ClassicalForm(ctx, ctx.q ** 2 - 1, 0,
                           (g.series ** (ctx.q + 1)).truncate(N)
-                          + gen_Delta(ctx, N).series.scale(ctx.gs_int(1)))
+                          + gen_Delta(ctx, N).series.scale(
+                              GradedScalar.from_int(ctx.ring, 1)))
     expr = express_in_gh(ctx, combo)
-    assert expr[(ctx.q + 1, 0)] == ctx.gs_one()
-    assert expr[(0, ctx.q - 1)] == ctx.gs_int(-1)
+    assert expr[(ctx.q + 1, 0)] == GradedScalar.one(ctx.ring)
+    assert expr[(0, ctx.q - 1)] == GradedScalar.from_int(ctx.ring, -1)
 
 
 def test_goss_eisenstein_and_g(ctx):
     N = 16
     Ehat = gen_goss_eis(ctx, ctx.q - 1, N)
-    lhs = Ehat.series.scale(ctx.gs(ctx.D(1)))
+    lhs = Ehat.series.scale(GradedScalar.from_poly(ctx.D(1)))
     assert lhs.eq_to_prec(gen_g(ctx, N).series)
     if ctx.q > 2:
         with pytest.raises(ValueError):
@@ -189,11 +190,6 @@ def test_w_involution(ctx):
     if ctx.q == 2:
         p3 = (ctx.base_field.one, ctx.base_field.one, ctx.base_field.one)
         assert w_involution_check(ctx, p3, 8)["ok"]
-
-
-def test_quasi_pair_depth(ctx):
-    qp = quasi_E_pair(ctx, 8)
-    assert qp.depth == 1
 
 
 def test_fs_family(ctx):

@@ -37,11 +37,11 @@ def test_single_grade_inverse(ctx3):
 
 def test_mixed_grade_inverse_raises(ctx3):
     ctx = ctx3
-    x = ctx.gs_one() + GradedScalar.from_poly(ctx.ring.one, om=1)
+    x = GradedScalar.one(ctx.ring) + GradedScalar.from_poly(ctx.ring.one, om=1)
     with pytest.raises(MixedGradeError):
         x.inv()
     with pytest.raises(ZeroDivisionError):
-        ctx.gs_zero().inv()
+        GradedScalar.zero(ctx.ring).inv()
 
 
 def test_tau_rules(ctx):
@@ -217,7 +217,7 @@ def test_eval_root_examples():
     got = eval_root(x, rctx)
     assert got == GradedScalar.from_poly(rctx.spec_ring.one)
     # constants are fixed
-    one = eval_root(ctx.gs_one(), rctx)
+    one = eval_root(GradedScalar.one(ctx.ring), rctx)
     assert one.is_one()
     # p(t) in a denominator is a pole
     pt = t * t + t + ctx.ring.one

@@ -155,8 +155,8 @@ def test_non_canonical_fractions_are_refused(q):
 @pytest.mark.parametrize("q", [2, 3, 4], ids=lambda q: f"q{q}")
 def test_non_canonical_series_are_refused(q):
     ctx = shared_context(q)
-    one = ser.scalar_to_json(ctx.gs_one())
-    theta = ser.scalar_to_json(ctx.gs(ctx.ring.theta))
+    one = ser.scalar_to_json(GradedScalar.one(ctx.ring))
+    theta = ser.scalar_to_json(GradedScalar.from_poly(ctx.ring.theta))
     good = {"prec": 5, "coeffs": [[-1, one], [4, theta]]}
     back = ser.series_from_json(ctx, good)
     assert ser.series_to_json(back) == good

@@ -1,4 +1,6 @@
-"""The package imports nothing outside the standard library.
+"""The package imports nothing outside the standard library, and holds
+no import, private helper or public name that nothing outside the tests
+reads.
 
 Every module under `src/carlitz_vmf/` is parsed, not imported, so an
 import inside a function or behind a condition counts too.
@@ -7,6 +9,7 @@ import inside a function or behind a condition counts too.
 import ast
 import glob
 import os
+import re
 import sys
 
 import pytest
@@ -15,11 +18,14 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MODULES = sorted(glob.glob(os.path.join(ROOT, "src", "carlitz_vmf", "*.py")))
 
 
+def _parse(path):
+    with open(path, encoding="utf-8") as fh:
+        return ast.parse(fh.read(), filename=path)
+
+
 def _absolute_imports(path):
     """(line, top-level name) of each absolute import in the file."""
-    with open(path, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read(), filename=path)
-    for node in ast.walk(tree):
+    for node in ast.walk(_parse(path)):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 yield node.lineno, alias.name.split(".")[0]
@@ -41,8 +47,7 @@ def test_imports_are_stdlib(path):
 
 def _unused_imports(path):
     """(line, name) of each module-level import name the module never reads."""
-    with open(path, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read(), filename=path)
+    tree = _parse(path)
     imported = {}
     for node in tree.body:
         if isinstance(node, ast.Import):
@@ -65,33 +70,68 @@ def test_no_unused_imports(path):
     assert not unused, f"unused imports in {path}: {unused}"
 
 
-def _private_defs(tree):
-    """(line, name) of each private module-level function and method of a
-    module-level class; dunder methods are not private."""
+def _defs(tree):
+    """Each module-level function or class and each method of a
+    module-level class."""
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
     for node in tree.body:
-        body = node.body if isinstance(node, ast.ClassDef) else [node]
-        for d in body:
-            if (isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and d.name.startswith("_") and not d.name.endswith("__")):
-                yield d.lineno, d.name
+        if isinstance(node, funcs + (ast.ClassDef,)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (d for d in node.body if isinstance(d, funcs))
+
+
+def _reads(tree, strings=False):
+    """(name, line) of each name and attribute read; with ``strings``, also
+    the dotted parts of string constants (the benchmark's tracer names
+    what it wraps by strings)."""
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            yield n.id, n.lineno
+        elif isinstance(n, ast.Attribute):
+            yield n.attr, n.lineno
+        elif (strings and isinstance(n, ast.Constant)
+              and isinstance(n.value, str)):
+            for part in n.value.split("."):
+                yield part, n.lineno
 
 
 def test_no_unreferenced_private_functions():
     """Every private function or method is read somewhere in the package,
     as a name or as an attribute, so a helper left behind by a refactor
-    fails here."""
-    trees = {}
-    for path in MODULES:
-        with open(path, encoding="utf-8") as fh:
-            trees[path] = ast.parse(fh.read(), filename=path)
-    read = set()
-    for tree in trees.values():
-        for n in ast.walk(tree):
-            if isinstance(n, ast.Name):
-                read.add(n.id)
-            elif isinstance(n, ast.Attribute):
-                read.add(n.attr)
-    unused = [(os.path.basename(path), line, name)
-              for path, tree in trees.items()
-              for line, name in _private_defs(tree) if name not in read]
+    fails here; dunder methods are not private."""
+    trees = {path: _parse(path) for path in MODULES}
+    read = {name for tree in trees.values() for name, _ in _reads(tree)}
+    unused = [(os.path.basename(path), d.lineno, d.name)
+              for path, tree in trees.items() for d in _defs(tree)
+              if not isinstance(d, ast.ClassDef) and d.name.startswith("_")
+              and not d.name.endswith("__") and d.name not in read]
     assert not unused, f"private functions nothing references: {unused}"
+
+
+def test_no_public_api_that_only_tests_reach():
+    """Every public function, class or method is read somewhere besides the
+    tests: in the package outside its own definition, in a demo or the
+    benchmark, or by name in backticks in README.md, which documents the
+    paper checks that only tests call."""
+    trees = {path: _parse(path) for path in MODULES}
+    src_reads = [(path, name, line) for path, tree in trees.items()
+                 for name, line in _reads(tree)]
+    elsewhere = set()
+    for path in (glob.glob(os.path.join(ROOT, "demos", "*.py"))
+                 + glob.glob(os.path.join(ROOT, "perfbench", "*.py"))):
+        elsewhere |= {name for name, _ in _reads(_parse(path), strings=True)}
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        prose = re.sub(r"```.*?```", "", fh.read(), flags=re.DOTALL)
+    for span in re.findall(r"`([^`]+)`", prose):
+        elsewhere |= set(re.findall(r"[A-Za-z_]\w*", span))
+    unread = []
+    for path, tree in trees.items():
+        for d in _defs(tree):
+            if d.name.startswith("_") or d.name in elsewhere or any(
+                    name == d.name
+                    and not (p == path and d.lineno <= line <= d.end_lineno)
+                    for p, name, line in src_reads):
+                continue
+            unread.append((os.path.basename(path), d.lineno, d.name))
+    assert not unread, f"public names only tests reach: {unread}"

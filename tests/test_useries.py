@@ -18,34 +18,36 @@ from conftest import shared_context
 
 def test_basic_arithmetic(ctx):
     u = USeries.u(ctx)
-    assert (u * u).c == {2: ctx.gs_one()}
-    two = ctx.gs_int(2)
+    assert (u * u).c == {2: GradedScalar.one(ctx.ring)}
+    two = GradedScalar.from_int(ctx.ring, 2)
     expected = {} if two.is_zero() else {1: two}
     assert (u + u).c == expected
 
 
 def test_laurent_inverse_of_minus_u():
     ctx = shared_context(3)
-    f = USeries(ctx, {1: ctx.gs_int(-1), 2: ctx.gs_one()}, 5)
+    f = USeries(ctx, {1: GradedScalar.from_int(ctx.ring, -1),
+                      2: GradedScalar.one(ctx.ring)}, 5)
     inv = f.inverse()
     # 1/(-u(1 - u)) = -u^{-1} (1 + u + u^2 + ...)
-    expect = USeries(ctx, {n: ctx.gs_int(-1) for n in range(-1, 3)}, 3)
+    expect = USeries(ctx, {n: GradedScalar.from_int(ctx.ring, -1)
+                           for n in range(-1, 3)}, 3)
     assert inv.eq_to_prec(expect)
     assert inv.prec == 3
 
 
 def test_division_by_mixed_grade_leading_coefficient_fails(ctx3):
     ctx = ctx3
-    mixed = ctx.gs_one() + GradedScalar.from_poly(ctx.ring.one, om=1)
-    f = USeries(ctx, {0: mixed, 1: ctx.gs_one()}, 6)
+    mixed = GradedScalar.one(ctx.ring) + GradedScalar.from_poly(ctx.ring.one, om=1)
+    f = USeries(ctx, {0: mixed, 1: GradedScalar.one(ctx.ring)}, 6)
     with pytest.raises(MixedGradeError):
         f.inverse()
 
 
 def test_precision_tracking(ctx3):
     ctx = ctx3
-    f = USeries(ctx, {1: ctx.gs_one()}, 5)       # u + O(u^5)
-    g = USeries(ctx, {2: ctx.gs_one()}, 7)       # u^2 + O(u^7)
+    f = USeries(ctx, {1: GradedScalar.one(ctx.ring)}, 5)       # u + O(u^5)
+    g = USeries(ctx, {2: GradedScalar.one(ctx.ring)}, 7)       # u^2 + O(u^7)
     prod = f * g
     assert prod.prec == min(5 + 2, 7 + 1)
     with pytest.raises(PrecisionError):
@@ -54,7 +56,7 @@ def test_precision_tracking(ctx3):
 
 
 def test_truncation_and_coeff_guard(ctx3):
-    f = USeries(ctx3, {0: ctx3.gs_one()}, 4)
+    f = USeries(ctx3, {0: GradedScalar.one(ctx3.ring)}, 4)
     assert f.truncate(2).prec == 2
     with pytest.raises(PrecisionError):
         f.coeff(4)
@@ -66,12 +68,12 @@ def test_twist_and_untwist(ctx):
     q = ctx.q
     u = USeries.u(ctx, prec=6)
     tu = u.tau()
-    assert tu.c == {q: ctx.gs_one()}
+    assert tu.c == {q: GradedScalar.one(ctx.ring)}
     assert tu.prec == 6 * q
     assert tu.untau().eq_to_prec(u)
     if q == 2:
         with pytest.raises(NotTauImageError):
-            USeries(shared_context(2), {3: ctx.gs_one()}, 8).untau()
+            USeries(shared_context(2), {3: GradedScalar.one(ctx.ring)}, 8).untau()
 
 
 def test_twist_multiplicative_randomized(ctx):
@@ -149,7 +151,7 @@ def test_dz_composition_rule(q):
             for j in range(1, q + 3 - i):
                 lhs = dz(di, j)
                 assert lhs.prec == f.prec + 2
-                binom = ctx.gs_int(math.comb(i + j, i))
+                binom = GradedScalar.from_int(ctx.ring, math.comb(i + j, i))
                 rhs = dz(f, i + j).scale(binom)
                 assert lhs.eq_to_prec(rhs, at_least=f.prec + 1)
 
@@ -197,14 +199,14 @@ def test_pow_matches_repeated_product(ctx, monkeypatch):
         calls.clear()
         f ** n
         assert len(calls) == n.bit_length() + bin(n).count("1") - 2
-    assert (f ** 0).c == {0: ctx.gs_one()} and (f ** 0).prec is None
+    assert (f ** 0).c == {0: GradedScalar.one(ctx.ring)} and (f ** 0).prec is None
 
 
 def test_dt_series(ctx):
     t = ctx.ring.t
     f = USeries(ctx, {2: GradedScalar.from_poly(t)}, 8)
     d = f.dt(1)
-    assert d.c == {2: ctx.gs_one()}
+    assert d.c == {2: GradedScalar.one(ctx.ring)}
     bad = USeries(ctx, {0: GradedScalar.from_poly(ctx.ring.one, om=-1)}, 4)
     with pytest.raises(MixedGradeError):
         bad.dt(1)
@@ -226,9 +228,9 @@ def test_u_scale(ctx):
     S = u_scale(ctx, theta, 3 * q + 2)
     # u(theta z) = u^q (1 - theta u^(q-1) + theta^2 u^(2(q-1)) - ...)
     th = ctx.ring.theta
-    expect = {q: ctx.gs_one(),
-              q + (q - 1): ctx.gs(-th),
-              q + 2 * (q - 1): ctx.gs(th * th)}
+    expect = {q: GradedScalar.one(ctx.ring),
+              q + (q - 1): GradedScalar.from_poly(-th),
+              q + 2 * (q - 1): GradedScalar.from_poly(th * th)}
     for n, c in expect.items():
         if n < S.prec:
             assert S.coeff(n) == c
@@ -266,7 +268,7 @@ def test_scale_arg(ctx):
     h = gen_h(ctx, N)
     hp = scale_arg(h.series, theta, N * ctx.q)
     assert hp.val() == ctx.q
-    assert hp.coeff(ctx.q) == ctx.gs_int(-1)
+    assert hp.coeff(ctx.q) == GradedScalar.from_int(ctx.ring, -1)
     with pytest.raises(PrecisionError):
         scale_arg(USeries.u(ctx), theta)  # exact input needs a target
 
@@ -315,7 +317,7 @@ def test_trace_div(ctx):
     theta = (ctx.base_field.zero, ctx.base_field.one)
     # f = u: G_(p,1)(p u) = p u
     got = trace_div(USeries.u(ctx).truncate(10), theta)
-    assert got.coeff(1) == ctx.gs(ctx.ring.theta)
+    assert got.coeff(1) == GradedScalar.from_poly(ctx.ring.theta)
     # constants die
     assert trace_div(USeries.one(ctx, 8), theta).is_zero()
     # coprime scaling: sum_b u(a(z+b)/p) = p u(az)
@@ -323,7 +325,7 @@ def test_trace_div(ctx):
     a = (ctx.base_field.one, ctx.base_field.one)  # theta + 1
     Sa = u_scale(ctx, a, N)
     got = trace_div(Sa, theta)
-    expect = Sa.scale(ctx.gs(ctx.ring.theta)).truncate(int(got._p()))
+    expect = Sa.scale(GradedScalar.from_poly(ctx.ring.theta)).truncate(int(got._p()))
     assert got.eq_to_prec(expect)
     # p | a: the trace vanishes
     pa = (ctx.base_field.zero, ctx.base_field.zero, ctx.base_field.one)
@@ -510,9 +512,10 @@ def test_packed_inverse_with_non_unit_lead_in_f4():
         assert _num(inv.c[0]) == R.const(R.field.inv(lead))
         _assert_inverse(f, 10)
     # a lead that is not a constant goes to the schoolbook, with a fraction
-    f = USeries(ctx, {0: ctx.gs(R.theta), 1: ctx.gs_one()}, 6)
+    f = USeries(ctx, {0: GradedScalar.from_poly(R.theta),
+                      1: GradedScalar.one(ctx.ring)}, 6)
     inv = f.inverse()
-    assert inv.c[0] == ctx.gs(R.theta).inv()
+    assert inv.c[0] == GradedScalar.from_poly(R.theta).inv()
     assert (f * inv).eq_to_prec(USeries.one(ctx, 6))
 
 
@@ -527,7 +530,7 @@ def _oracle_lincomb(ctx, terms, prec=None):
         for m, fm in f.c.items():
             if m + k < P:
                 v = fm if c is None else c * fm
-                out[m + k] = out.get(m + k, ctx.gs_zero()) + v
+                out[m + k] = out.get(m + k, GradedScalar.zero(ctx.ring)) + v
     return {n: v for n, v in out.items() if not v.is_zero()}, P
 
 
@@ -545,7 +548,8 @@ def test_fallback_keeps_the_schoolbook():
     ctx2 = _packed_ctx("F2")
     R = ctx2.ring
     mixed = _poly_series(ctx2, rng, 0, 6, 6)
-    mixed.c[2] = mixed.c.get(2, ctx2.gs_one()) + ctx2.gs(R.theta, om=1)
+    mixed.c[2] = (mixed.c.get(2, GradedScalar.one(ctx2.ring))
+                  + GradedScalar.from_poly(R.theta, om=1))
     cases.append((ctx2, mixed, _poly_series(ctx2, rng, 0, 6, 6)))
     frac = _poly_series(ctx2, rng, 0, 6, 6)
     frac.c[1] = GradedScalar.from_rat(RatFunc(R.one, R.t + R.theta))
@@ -591,7 +595,7 @@ def test_lincomb_packed_matches_oracle(name):
     f = _poly_series(ctx, rng, -2, 10, 10, grade=(1, 0))
     g = _poly_series(ctx, rng, 0, 14, 14, grade=(1, 0))
     e = _poly_series(ctx, rng, 1, 7, None, grade=(0, 1))
-    scalars = [None, ctx.gs_one(), gs(_rand_poly(R, rng, 5, 2, 6))]
+    scalars = [None, GradedScalar.one(ctx.ring), gs(_rand_poly(R, rng, 5, 2, 6))]
     others = [x for x in R.field.elements() if x not in (R.field.zero, R.field.one)]
     if others:                       # a constant other than 1
         scalars.append(gs(R.const(others[0])))
@@ -601,7 +605,7 @@ def test_lincomb_packed_matches_oracle(name):
         _assert_lincomb(ctx, [(c, g, 0), (gs(_rand_poly(R, rng, 4, 1, 4), 1, -1), e, -1)])
     theta_t = gs(R.theta * R.t + R.one)
     lift = gs(R.theta + R.t, 1, -1)  # takes e to grade (1, 0)
-    one = ctx.gs_one()
+    one = GradedScalar.one(ctx.ring)
     # the precision: from f.prec + k (both signs), from prec, and from an
     # empty f with a finite precision
     assert _assert_lincomb(ctx, [(theta_t, f, 3)]).prec == 13
@@ -637,11 +641,13 @@ def test_lincomb_fallback_matches_oracle():
     ]
     ctx3 = shared_context(3)         # odd characteristic
     f3 = _poly_series(ctx3, rng, -1, 6, 6)
-    cases.append((ctx3, [(ctx3.gs(ctx3.ring.theta), f3, 1), (None, f3, -1)]))
+    cases.append((ctx3, [(GradedScalar.from_poly(ctx3.ring.theta), f3, 1),
+                         (None, f3, -1)]))
     ctx4 = shared_context(4)         # a tower over F_4
     tower = Context(4, coeff_field=PolyExtField(
         ctx4.base_field, (ctx4.base_field.gen(), ctx4.base_field.one)))
     ft = _poly_series(tower, rng, 0, 5, 5)
-    cases.append((tower, [(tower.gs(tower.ring.t), ft, 0), (None, ft, 2)]))
+    cases.append((tower, [(GradedScalar.from_poly(tower.ring.t), ft, 0),
+                          (None, ft, 2)]))
     for ctx, terms in cases:
         _assert_lincomb(ctx, terms, packed=False)

@@ -42,6 +42,15 @@ def test_chi_correction_valuation(ctx):
             assert shifted.val() >= 0
 
 
+def test_chi_correction_has_no_laurent_floor():
+    """A monic of degree d has a pole of order q^(d-1): at q=2, theta^8 + 1
+    reaches u^(-128), below the -q^6 that no longer bounds series."""
+    ctx = Context(2)
+    f = ctx.base_field
+    a = (f.one,) + (f.zero,) * 7 + (f.one,)
+    assert chi_correction(ctx, a).val() == -128
+
+
 def test_chi_correction_uses_carlitz_binomials(ctx):
     # coefficients come from E_i(a) (tested equal to the action coefficients)
     a = ctx.monics(2)[0]
@@ -55,7 +64,7 @@ def test_eis1_shape(ctx):
     e1 = eis1(ctx, N)
     assert e1.regular and (e1.k, e1.m) == (1, 0)
     assert e1.h1.val() == 1
-    assert e1.h1.coeff(1) == ctx.gs_int(-1)
+    assert e1.h1.coeff(1) == GradedScalar.from_int(ctx.ring, -1)
     assert e1.h3.coeff(0) == lambda_1(ctx)
     assert e1.lam == lambda_1(ctx)
 
@@ -157,7 +166,7 @@ def test_hecke_eigen_small(ctx):
     e1 = eis1(ctx, N)
     p = theta(ctx)
     T = hecke(ctx, p, e1)
-    assert T.first_difference(e1.scale(ctx.gs(ctx.apoly(p)))) is None
+    assert T.first_difference(e1.scale(GradedScalar.from_poly(ctx.apoly(p)))) is None
     assert T.regular
 
 
@@ -169,17 +178,18 @@ def test_legendre_displays_match_engine_values(ctx):
     fstar, d2, d3 = legendre_fstar(ctx, N)
     tm = ctx.ring.t - ctx.ring.theta
     assert d2.coeff(0).is_one()
-    assert d2.coeff(ctx.q - 1) == -ctx.gs(tm)
+    assert d2.coeff(ctx.q - 1) == -GradedScalar.from_poly(tm)
     assert not fstar.regular
     assert (fstar.k, fstar.m) == (-1, (-1) % max(ctx.q - 1, 1))
     # tau(om) d3 leading data
     s = GradedScalar(ctx.ring, {(0, 1): RatFunc(tm, None)})
     taud3 = d3.scale(s)
     if ctx.q == 2:
-        assert taud3.coeff(0) == ctx.gs(ctx.ring.theta + ctx.ring.t)
+        assert taud3.coeff(0) == GradedScalar.from_poly(ctx.ring.theta + ctx.ring.t)
     else:
         assert taud3.val() == ctx.q - 2
-        assert taud3.coeff(ctx.q - 2) == ctx.gs(ctx.ring.theta - ctx.ring.t)
+        assert taud3.coeff(ctx.q - 2) == GradedScalar.from_poly(
+            ctx.ring.theta - ctx.ring.t)
 
 
 def test_lambda_values(ctx):
@@ -209,7 +219,7 @@ def test_eis_k_refuses_a_first_coordinate_outside_the_span(monkeypatch):
     def stray(ctx, weight, N):
         h1, chi = real(ctx, weight, N)
         if weight == k:
-            h1 = h1 + USeries(ctx, {N - 1: ctx.gs_one()}, N)
+            h1 = h1 + USeries(ctx, {N - 1: GradedScalar.one(ctx.ring)}, N)
         return h1, chi
 
     monkeypatch.setattr(vmf, "_eis_sums", stray)
@@ -245,7 +255,7 @@ def test_hecke_image_precision(q, N, p, precs):
     e1 = eis1(ctx, N)
     T = hecke(ctx, p, e1)
     assert (T.h1.prec, T.h3.prec) == precs
-    assert T.first_difference(e1.scale(ctx.gs(ctx.apoly(p)))) is None
+    assert T.first_difference(e1.scale(GradedScalar.from_poly(ctx.apoly(p)))) is None
 
 
 # -- the builders: term-by-term sums and one inverse per monic ------------------
@@ -260,12 +270,12 @@ def _plain(ctx, terms, N):
         for m, fm in f.items():
             if m + k < N:
                 v = fm if c is None else c * fm
-                out[m + k] = out.get(m + k, ctx.gs_zero()) + v
+                out[m + k] = out.get(m + k, GradedScalar.zero(ctx.ring)) + v
     return {n: v for n, v in out.items() if not v.is_zero()}
 
 
 def _plain_pow(ctx, S, e, N):
-    out = {0: ctx.gs_one()}
+    out = {0: GradedScalar.one(ctx.ring)}
     for _ in range(e):
         out = _plain(ctx, [(c, S, n) for n, c in out.items()], N)
     return out
@@ -277,16 +287,17 @@ def test_builders_match_term_by_term_sums(q, N):
     """E, g, E1 and E_q equal their monic-indexed sums taken one term and
     one coefficient at a time, byte for byte once serialized."""
     ctx = Context(q)
-    one, monics = ctx.gs_one(), ctx.monics_below(N)
+    one, monics = GradedScalar.one(ctx.ring), ctx.monics_below(N)
     # u(a z) far enough that chi_correction(a) * u(a z) is known below N
     S = {a: u_scale(ctx, a, 2 * N).c for a in monics}
     Sq = {a: _plain_pow(ctx, S[a], q, 2 * N) for a in monics}
     S_q1 = {a: _plain_pow(ctx, S[a], q - 1, N) for a in monics}
     cc = {a: chi_correction(ctx, a).c for a in monics}
-    chi = {a: -ctx.gs(ctx.chi(a)) for a in monics}
-    E = _plain(ctx, [(ctx.gs(ctx.apoly(a)), S[a], 0) for a in monics], N)
+    chi = {a: -GradedScalar.from_poly(ctx.chi(a)) for a in monics}
+    E = _plain(ctx, [(GradedScalar.from_poly(ctx.apoly(a)), S[a], 0)
+                     for a in monics], N)
     g = _plain(ctx, [(None, {0: one}, 0)] + [
-        (-ctx.gs(ctx.D(1)), S_q1[a], 0) for a in monics], N)
+        (-GradedScalar.from_poly(ctx.D(1)), S_q1[a], 0) for a in monics], N)
     e1_h1 = _plain(ctx, [(chi[a], S[a], 0) for a in monics], N)
     e1_h3 = _plain(ctx, [(lambda_1(ctx), {0: one}, 0)] + [
         (c, S[a], n) for a in monics for n, c in cc[a].items()], N)
