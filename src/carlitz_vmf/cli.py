@@ -264,15 +264,15 @@ def cmd_bench(args) -> int:
             return 2
     rows = []
     for ctx, N in grid:
-        t0 = time.time()
+        t0 = time.perf_counter()
         e1 = eis1(ctx, N)
-        t_build = time.time() - t0
-        t0 = time.time()
+        t_build = time.perf_counter() - t0
+        t0 = time.perf_counter()
         _ = e1.h1 * e1.h3
-        t_mul = time.time() - t0
-        t0 = time.time()
+        t_mul = time.perf_counter() - t0
+        t0 = time.perf_counter()
         _ = hecke(ctx, (ctx.base_field.zero, ctx.base_field.one), e1)
-        t_hecke = time.time() - t0
+        t_hecke = time.perf_counter() - t0
         coeffs = len(e1.h1.c) + len(e1.h3.c)
         rows.append((ctx.q, N, t_build, t_mul, t_hecke, coeffs))
     print(f"{'q':>3} {'N':>5} {'build E1':>10} {'mult':>10} {'Hecke':>10} "

@@ -15,7 +15,7 @@ from .context import Context
 from .errors import NotInSpanError, NotIrreducibleError, PrecisionError
 from .polys import Poly, RatFunc
 from .scalars import GradedScalar
-from .useries import USeries, dz, goss_series, scale_arg, u_scale
+from .useries import USeries, dz, goss_series, scale_arg
 
 
 class ClassicalForm:
@@ -75,8 +75,7 @@ def a_expansion(ctx: Context, coeff_fn, k: int, N: int) -> USeries:
         c = coeff_fn(a)
         if c is None or (hasattr(c, "is_zero") and c.is_zero()):
             continue
-        S = u_scale(ctx, a, N)
-        terms.append((c, S if k == 1 else goss_series(ctx, L, k, S), 0))
+        terms.append((c, goss_series(ctx, L, k, a, N), 0))
     return USeries.lincomb(ctx, terms, N)
 
 

@@ -19,6 +19,15 @@ coefficient.  The recurrence of ``USeries.inverse`` packs the same way
 when, in addition, the lowest coefficient is a constant.  Odd
 characteristic, a denominator, mixed grades or a tower over F_4 stay on
 the schoolbook loops; both give the same coefficients.
+
+``goss_series`` takes G_k(u(a z)) with no series product.  u(a z) =
+u^Q Y with Y = 1 / P_a, P_a = sum_i [a]_i u^(Q - q^i) sparse, and in
+characteristic p a p^j-th power of a series is its coefficientwise
+Frobenius image.  So u(a z)^e is a Frobenius image of the Y that
+``u_scale`` caches, divided by a twist Frob^j(P_a) once per remaining
+unit of the base-p digits of e; a division is the sparse recurrence of
+``inverse`` (``_solve``, packed over F_2 and F_{2^e} by
+``_packed_solve``).
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ import math
 from .carlitz import goss_poly, period_lattice, torsion_lattice
 from .context import Context
 from .errors import MixedGradeError, PrecisionError
-from .polys import RatFunc, _f2_packer, _lucas_binom, _pow
+from .polys import Poly, RatFunc, _f2_packer, _lucas_binom, _pow
 from .scalars import GradedScalar, eval_root, eval_theta_power
 
 
@@ -183,22 +192,13 @@ class USeries:
             lead_inv = lead.inv()
         except MixedGradeError:
             raise MixedGradeError("lowest coefficient is not invertible (mixed grade)")
-        f_rel = {n - v: c for n, c in self.c.items()}
-        out = _packed_inverse(f_rel, lead_inv, rel_prec)
-        if out is not None:
-            return USeries(self.ctx, {n - v: c for n, c in out.items()},
-                           rel_prec - v)
-        out = {0: lead_inv}
-        for n in range(1, rel_prec):
-            acc = None
-            for k, fk in f_rel.items():
-                if 0 < k <= n and (n - k) in out:
-                    t = fk * out[n - k]
-                    acc = t if acc is None else acc + t
-            if acc is not None and not acc.is_zero():
-                out[n] = -(lead_inv * acc)
-        res = {n - v: c for n, c in out.items()}
-        return USeries(self.ctx, res, rel_prec - v)
+        f = sorted((n - v, c) for n, c in self.c.items() if n > v)
+        out = _packed_inverse(lead, f, lead_inv, rel_prec)
+        if out is None:
+            out = _solve({0: GradedScalar.one(self.ctx.ring)}, f, rel_prec,
+                         lead_inv)
+        return USeries(self.ctx, {n - v: c for n, c in out.items()},
+                       rel_prec - v)
 
     def __truediv__(self, other):
         if not other.c:
@@ -294,7 +294,16 @@ class USeries:
         if not self.c:
             return USeries.zero(self.ctx, tail)
         exps = sorted(self.c, reverse=True)
-        spow = _power_table(S)
+        # e -> S^e for e >= 1, each power taken once, by the binary chain
+        # S^e = (S^(e // 2))^2, times S when e is odd
+        powers = {1: S}
+
+        def spow(e):
+            if e not in powers:
+                h = spow(e // 2)
+                powers[e] = h * h if e % 2 == 0 else h * h * S
+            return powers[e]
+
         acc = USeries.const(self.ctx, self.c[exps[0]])
         for i in range(1, len(exps)):
             gap = exps[i - 1] - exps[i]
@@ -417,42 +426,77 @@ def _packed_lincomb(ctx: Context, terms, prec) -> dict | None:
     return out
 
 
-def _packed_inverse(f_rel: dict, lead_inv: GradedScalar, rel_prec: int):
-    """The recurrence of ``USeries.inverse`` through the packed F_2 codec,
-    for f_rel = {k: f_k} with f_0 a constant; None where ``_packed_lincomb``
-    would decline, or when f_0 is not a constant."""
-    ring = lead_inv.ring
-    packer = _f2_packer(ring.field)
-    if packer is None:
-        return None
-    g = _poly_grade(f_rel.values())
-    if g is None:
-        return None
-    lead = f_rel[0].terms[g].num
-    if lead.deg_theta() or lead.deg_t():
-        return None
-    ((grade, c0),) = lead_inv.terms.items()
-    code = packer.enc[c0.num.coeff(0, 0)]
-    fp = sorted((k, packer.pack(s.terms[g].num))
-                for k, s in f_rel.items() if k)
-    packed = {0: packer.pack(c0.num)}
-    out = {0: lead_inv}
-    for n in range(1, rel_prec):
-        acc: dict = {}
+def _solve(x: dict, f: list, rel: int, lead_inv=None) -> dict:
+    """{n: y_n} for n < rel with y_n = c (x_n - sum_(1<=k<=n) f_k y_(n-k)),
+    c = lead_inv (None for 1): the series y with f y = x, for f = f_0 +
+    sum f_k u^k, c = 1/f_0 and x = {n: x_n} with n >= 0.
+
+    f lists the (k, f_k) with k >= 1 in increasing k, since the sum stops
+    at the first k > n.  Coefficients are GradedScalars (``inverse``) or
+    Polys (the divisions of ``goss_series``), whichever x and f hold."""
+    y: dict = {}
+    for n in range(rel):
+        acc = None
+        for k, fk in f:
+            if k > n:
+                break
+            b = y.get(n - k)
+            if b is not None:
+                t = fk * b
+                acc = t if acc is None else acc + t
+        xn = x.get(n)
+        if acc is not None:
+            xn = -acc if xn is None else xn - acc
+        if xn is not None and not xn.is_zero():
+            y[n] = xn if lead_inv is None else lead_inv * xn
+    return y
+
+
+def _packed_solve(packer, ring, x: dict, fp: list, code: int, rel: int):
+    """``_solve`` through the packed F_2 codec: {n: (Poly, packed)} of y,
+    for x = {n: packed x_n}, fp = [(k, packed f_k)] in increasing k, and
+    c the constant of code ``code``.  In characteristic 2 the minus signs
+    are XORs."""
+    y: dict = {}
+    for n in range(rel):
+        xn = x.get(n)
+        acc = dict(xn[0]) if xn is not None else {}
         for k, a in fp:
             if k > n:
                 break
-            b = packed.get(n - k)
+            b = y.get(n - k)
             if b is not None:
-                packer.mul_into(acc, a, b)
+                packer.mul_into(acc, a, b[1])
         rows = [(j, r) for j, r in acc.items() if r]
         if not rows:
             continue
         if code != 1:
             rows = packer.multiples([rows, None, None])[code]
-        p, packed[n] = packer.unpack(ring, rows)
-        out[n] = GradedScalar(ring, {grade: RatFunc(p, None, reduce=False)})
-    return out
+        y[n] = packer.unpack(ring, rows)
+    return y
+
+
+def _packed_inverse(lead: GradedScalar, f: list, lead_inv: GradedScalar,
+                    rel_prec: int):
+    """The recurrence of ``USeries.inverse`` through ``_packed_solve``, for
+    a constant lead; None where ``_packed_lincomb`` would decline, or when
+    the lead is not a constant."""
+    ring = lead_inv.ring
+    packer = _f2_packer(ring.field)
+    if packer is None:
+        return None
+    g = _poly_grade([lead] + [c for _, c in f])
+    if g is None:
+        return None
+    p0 = lead.terms[g].num
+    if p0.deg_theta() or p0.deg_t():
+        return None
+    ((grade, c0),) = lead_inv.terms.items()
+    fp = [(k, packer.pack(s.terms[g].num)) for k, s in f]
+    y = _packed_solve(packer, ring, {0: packer.pack(ring.one)}, fp,
+                      packer.enc[c0.num.coeff(0, 0)], rel_prec)
+    return {n: GradedScalar(ring, {grade: RatFunc(p, None, reduce=False)})
+            for n, (p, _) in y.items()}
 
 
 def quotients(nums, den: USeries) -> list:
@@ -516,26 +560,81 @@ def scale_arg(f: USeries, a, prec: int | None = None) -> USeries:
     return out.truncate(target)
 
 
-def _power_table(S: USeries):
-    """e -> S^e for e >= 1, each power taken once, by the binary chain
-    S^e = (S^(e // 2))^2, times S when e is odd."""
-    powers = {1: S}
+def _frobenius(f, j: int):
+    """f^(p^j) for a Poly f in characteristic p: every exponent times p^j
+    and every coefficient through the field's Frobenius (the identity on
+    the prime field)."""
+    field = f.ring.field
+    m = field.char ** j
+    j %= field.e
+    if j:
+        return Poly(f.ring, {(i * m, l * m): field.frobenius(v, j)
+                             for (i, l), v in f.c.items()})
+    return Poly(f.ring, {(i * m, l * m): v for (i, l), v in f.c.items()})
 
-    def spow(e):
-        if e not in powers:
-            h = spow(e // 2)
-            powers[e] = h * h if e % 2 == 0 else h * h * S
-        return powers[e]
 
-    return spow
+def _power_of_y(ctx: Context, a, Y: dict, e: int, rel: int) -> dict:
+    """{n: Poly} below u^rel of Y^e, Y = 1 / P_a for monic a of degree d,
+    P_a = sum_i [a]_i u^(Q - q^i), Q = q^d, and Y = {n: Poly} known below
+    u^rel at least.
+
+    With e = sum_j e_j p^j and j0 the place of the top digit, Y^e is the
+    twist Frob^(j0)(Y) divided once by Frob^j(P_a) = sum_i [a]_i^(p^j)
+    u^(p^j (Q - q^i)) for each other unit of the digits.  Each division
+    is the recurrence of ``_solve`` over the d terms of positive degree,
+    packed over F_2 and F_(2^e)."""
+    ring, p, q = ctx.ring, ctx.p, ctx.q
+    digits = []
+    while e:
+        digits.append(e % p)
+        e //= p
+    j0 = len(digits) - 1
+    digits[j0] -= 1
+    m = p ** j0
+    x = {n * m: _frobenius(c, j0) for n, c in Y.items() if n * m < rel}
+    coeffs, d = ctx.carlitz_coeffs(a), len(a) - 1
+    divisors = [[(p ** j * (q ** d - q ** i), _frobenius(coeffs[i], j))
+                 for i in range(d - 1, -1, -1) if not coeffs[i].is_zero()]
+                for j, ej in enumerate(digits) for _ in range(ej)]
+    packer = _f2_packer(ring.field)
+    if packer is None or not divisors:
+        for f in divisors:
+            x = _solve(x, f, rel)
+        return x
+    y = {n: (c, packer.pack(c)) for n, c in x.items()}
+    for f in divisors:
+        y = _packed_solve(packer, ring, {n: b for n, (_, b) in y.items()},
+                          [(k, packer.pack(c)) for k, c in f], 1, rel)
+    return {n: c for n, (c, _) in y.items()}
 
 
-def goss_series(ctx: Context, L, k: int, S: USeries) -> USeries:
-    """G_k evaluated at the series S."""
-    g = goss_poly(ctx, L, k)
-    spow = _power_table(S)
-    return USeries.lincomb(ctx, [(GradedScalar.from_rat(c), spow(e), 0)
-                                 for e, c in sorted(g.coeffs.items())])
+def goss_series(ctx: Context, L, k: int, a, prec: int) -> USeries:
+    """G_k(u(a z)) for monic a, from the series S = u(a z) that ``u_scale``
+    gives below u^prec, prec > Q = q^(deg a).
+
+    u(a z) = u^Q Y with Y = 1 / P_a, so the term c_e X^e of G_k is
+    c_e u^(eQ) Y^e, which ``_power_of_y`` takes without a series product.
+    The result equals sum_e c_e S^e by dense powers of S, coefficient for
+    coefficient and in precision: prec + (e_min - 1) Q, e_min the lowest
+    X-exponent of G_k (S^e is known to prec + (e - 1) Q)."""
+    S = u_scale(ctx, a, prec)
+    if k == 1:
+        return S
+    g = goss_poly(ctx, L, k).coeffs
+    Q = ctx.q ** (len(a) - 1)
+    out = prec + (min(g) - 1) * Q
+    Y = {n - Q: c.grade_part(0, 0).num for n, c in S.c.items()}
+    terms = [(c, e * Q, _power_of_y(ctx, a, Y, e, out - e * Q))
+             for e, c in sorted(g.items()) if e * Q < out]
+    if len(terms) == 1 and terms[0][0].is_one():
+        ((_, n, y),) = terms
+        return USeries(ctx, {m + n: GradedScalar.from_poly(c)
+                             for m, c in y.items()}, out)
+    return USeries.lincomb(ctx, [
+        (GradedScalar.from_rat(c),
+         USeries(ctx, {m: GradedScalar.from_poly(v) for m, v in y.items()},
+                 out - n),
+         n) for c, n, y in terms], out)
 
 
 def trace_div(f: USeries, p) -> USeries:

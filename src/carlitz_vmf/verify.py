@@ -476,9 +476,9 @@ def suite_oracles(q: int, N: int | None = None, *, checks: list) -> dict:
     for a in (prime_theta_plus(ctx, 1), (ctx.base_field.one,)):
         Sa = u_scale(ctx, a, N)
         for k in range(1, q + 2):
-            lhs = trace_div(goss_series(ctx, L, k, Sa), p)
-            rhs = goss_series(ctx, L, k, Sa).scale(
-                GradedScalar.from_poly(ctx.apoly(p) ** k))
+            G = goss_series(ctx, L, k, a, N)
+            lhs = trace_div(G, p)
+            rhs = G.scale(GradedScalar.from_poly(ctx.apoly(p) ** k))
             sums = coset_power_sums(ctx, p, Sa, k * 2 + 2)
             gk = goss_poly(ctx, L, k)
             brute = USeries.zero(ctx, lhs._p())
@@ -491,16 +491,16 @@ def suite_oracles(q: int, N: int | None = None, *, checks: list) -> dict:
                  d1 is None and d2 is None, _fmt_diff(d1 or d2))
     # p | a: the trace must vanish
     pa = tuple([ctx.base_field.zero] + list(p))  # theta * p
-    Spa = u_scale(ctx, pa, N)
     for k in range(1, q + 2):
-        lhs = trace_div(goss_series(ctx, L, k, Spa), p)
+        lhs = trace_div(goss_series(ctx, L, k, pa, N), p)
         _chk(checks, f"coset trace vanishes for p | a, k={k}", lhs.is_zero(),
              detail=str(lhs) if not lhs.is_zero() else None)
 
     # Goss polynomials against the additive-shift derivative kernel
     for k in range(1, q + 3):
         lhs = dz(u, k - 1)
-        gk = goss_series(ctx, L, k, USeries.u(ctx)).truncate(int(lhs._p()))
+        P = int(lhs._p())
+        gk = goss_series(ctx, L, k, (ctx.base_field.one,), P).truncate(P)
         pi_k = GradedScalar(ctx.ring,
                             {(k - 1, 0): RatFunc(ctx.ring.from_int((-1) ** (k - 1)),
                                                  None)})

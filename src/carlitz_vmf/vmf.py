@@ -32,8 +32,7 @@ from .forms import (ClassicalForm, a_expansion, gen_goss_eis, gen_h, gh_basis,
                     gh_monomials, solve_in_span)
 from .polys import RatFunc
 from .scalars import GradedScalar
-from .useries import (USeries, goss_series, quotients, scale_arg, trace_div,
-                      u_scale)
+from .useries import USeries, goss_series, quotients, scale_arg, trace_div
 
 
 def regular_weight_ok(ctx: Context, k: int, m: int) -> bool:
@@ -184,8 +183,7 @@ def _eis_sums(ctx: Context, k: int, N: int):
     h1, chi = [], []
     for a in ctx.monics_below(N):
         cc = chi_correction(ctx, a).c
-        S = u_scale(ctx, a, N - min(cc, default=0))  # min(cc) = -s
-        G = S if k == 1 else goss_series(ctx, L, k, S)
+        G = goss_series(ctx, L, k, a, N - min(cc, default=0))  # min(cc) = -s
         h1.append((-GradedScalar.from_poly(ctx.chi(a)), G, 0))
         chi += [(c, G, n) for n, c in cc.items()]
     return USeries.lincomb(ctx, h1, N), USeries.lincomb(ctx, chi, N)

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from carlitz_vmf import useries
+from carlitz_vmf.carlitz import goss_poly, period_lattice
 from carlitz_vmf.context import Context
 from carlitz_vmf.errors import (MixedGradeError, NotTauImageError,
                                 PrecisionError)
@@ -651,3 +652,57 @@ def test_lincomb_fallback_matches_oracle():
                           (None, ft, 2)]))
     for ctx, terms in cases:
         _assert_lincomb(ctx, terms, packed=False)
+
+
+# -- G_k(u(a z)) by twists and sparse divisions (goss_series) ----------------
+
+
+def _goss_oracle(ctx, L, k, a, prec):
+    """(coefficients, precision) of sum c_e S^e over the terms c_e X^e of
+    G_k, S = u_scale(ctx, a, prec) and S^e by repeated products."""
+    S = u_scale(ctx, a, prec)
+    powers = {1: S}
+    g = goss_poly(ctx, L, k).coeffs
+    for e in range(2, max(g) + 1):
+        powers[e] = powers[e - 1] * S
+    return _oracle_lincomb(ctx, [(GradedScalar.from_rat(c), powers[e], 0)
+                                 for e, c in g.items()])
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+def test_goss_series_matches_dense_powers(q):
+    """Every monic a of degree <= 2, k a power of p, q - 1, q + 1 and
+    2q - 1 (several base-p digits, (q - 1) | k, k > q), prec just above
+    Q = q^(deg a) and well above it: coefficients and precision equal
+    those of dense powers of u(a z).  Over F_4, F_8 and F_9 the twist
+    acts on the field too."""
+    ctx = Context(q)
+    L = period_lattice(ctx)
+    ks = sorted({ctx.p, q - 1, q, q + 1, 2 * q - 1})
+    for d in range(3):
+        Q = q ** d
+        for a in ctx.monics(d):
+            for prec in (Q + 1, 3 * Q + q):
+                for k in ks:
+                    coeffs, P = _goss_oracle(ctx, L, k, a, prec)
+                    got = useries.goss_series(ctx, L, k, a, prec)
+                    assert got.prec == P, (a, k, prec)
+                    assert got.c == coeffs, (a, k, prec)
+
+
+def test_goss_series_up_to_weight_q_takes_no_product(monkeypatch):
+    """G_k = X^k for k <= q: on a fresh q = 4 context, G_4(u(a z)) is a
+    twist of u_scale's series, with no series product or sum."""
+    calls = []
+    lincomb, mul = USeries.lincomb, USeries.__mul__
+    monkeypatch.setattr(USeries, "lincomb", staticmethod(
+        lambda *args: calls.append("lincomb") or lincomb(*args)))
+    monkeypatch.setattr(USeries, "__mul__",
+                        lambda f, g: calls.append("mul") or mul(f, g))
+    ctx = Context(4)
+    L = period_lattice(ctx)
+    for d in range(3):
+        for a in ctx.monics(d):
+            G = useries.goss_series(ctx, L, 4, a, 40)
+            assert G.val() == 4 * 4 ** d
+    assert calls == []

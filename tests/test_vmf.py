@@ -379,10 +379,10 @@ def test_eis_k_evaluates_goss_once_per_monic(monkeypatch, q, k, N):
     seen = []
     real = goss_series
 
-    def counted(ctx, L, weight, S):
+    def counted(ctx, L, weight, a, prec):
         if weight == k:
-            seen.append(S)
-        return real(ctx, L, weight, S)
+            seen.append(a)
+        return real(ctx, L, weight, a, prec)
 
     for mod in (forms, vmf):
         monkeypatch.setattr(mod, "goss_series", counted)
