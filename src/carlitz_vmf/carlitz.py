@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from .context import Context
 from .errors import NotIrreducibleError
+from .fields import show_tuple
 from .polys import Poly, RatFunc
 from .scalars import GradedScalar
 
@@ -49,7 +50,8 @@ def period_lattice(ctx: Context) -> LatticeExp:
 def torsion_lattice(ctx: Context, p) -> LatticeExp:
     """Exponential of the p-torsion lattice: alpha_j = [p]_j / p."""
     if not ctx.is_irreducible(p):
-        raise NotIrreducibleError(f"{p} is not irreducible over F_{ctx.q}")
+        raise NotIrreducibleError(f"{show_tuple(ctx.base_field, p)} is not "
+                                  f"irreducible over F_{ctx.q}")
     coeffs = ctx.carlitz_coeffs(p)
     pp = ctx.apoly(p)
     return LatticeExp(

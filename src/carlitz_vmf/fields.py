@@ -1,21 +1,27 @@
 """Finite fields F_q = F_{p^e} and finite extensions of them.
 
-Prime-field elements are plain ints in ``{0, ..., p-1}``.  Extension
-elements are little-endian digit tuples over the base field, reduced
-modulo a fixed monic polynomial.  F_{p^e} is always built on the Conway
-polynomial for (p, e), so element encodings are stable across runs and
-machines; extensions of F_q by a user-supplied irreducible (used for the
-residue fields F_q[y]/(P(y))) keep the supplied modulus.
+Prime-field elements are plain ints in ``{0, ..., p-1}``.  F_{p^e} for
+e > 1 is always built on the Conway polynomial for (p, e), so element
+encodings are stable across runs and machines.  Its element with
+little-endian F_p digits (d_0, ..., d_(e-1)) is the int code
+c = sum_k d_k p^k: code 0 is zero, code 1 is one and code p is the
+generator x.  These fields have at most 49 elements, so ``GF`` tabulates
+them once: ``add``, ``sub`` and ``mul`` over all pairs, ``neg`` and
+``inv`` over all elements, as lists indexed by code, each entry filled by
+the schoolbook operation on digit tuples that it replaces.  The five
+operations are then list lookups, and ``Poly`` reads the same tables
+inline.
 
-The Conway fields that ``GF(p, e)`` builds for e > 1 have at most 49
-elements, so ``GF`` tabulates them once: ``add``, ``sub`` and ``mul``
-over all pairs, ``neg`` and ``inv`` over all elements, each entry filled
-by the schoolbook operation it replaces.  Their operations are then one
-lookup in nested dicts keyed by the element tuples themselves, so
-encodings, hashing and element order are those of the untabulated field.
-Other extensions (residue fields, Rabin's quotient rings in
-``Context.is_irreducible``) stay on the schoolbook path, whose base-field
-operations are lookups when the base is a Conway field.
+Other extensions (the residue fields F_q[y]/(P(y)) on a user-supplied
+irreducible, Rabin's quotient rings in ``Context.is_irreducible``) keep
+their modulus and stay untabulated: their elements are little-endian
+tuples over the base field (of base codes when the base is a Conway
+field), and their operations are the schoolbook ones.
+
+Digits, digit strings and the order of ``elements()`` are those of the
+digit tuples, and ``show`` prints an element as the str() of its digit
+tuple, so serialized artifacts, check names and messages do not depend
+on the encoding.
 """
 
 from __future__ import annotations
@@ -63,6 +69,7 @@ class PrimeField:
         self.one = 1
         self.char = p
         self.int_elements = True  # elements are plain ints mod p
+        self.coded = False  # ints mod p, not codes into operation tables
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -116,7 +123,8 @@ class PrimeField:
 
 
 class PolyExtField:
-    """base[y]/(modulus), elements as little-endian tuples over base.
+    """base[y]/(modulus), elements as little-endian tuples over base, or
+    as int codes once ``_code`` has tabulated a field over F_p.
 
     ``modulus`` is a monic coefficient tuple of length degree+1 over the
     base field.  ``add``/``mul``/``pow`` are the ring operations of
@@ -144,21 +152,28 @@ class PolyExtField:
         self.one = tuple([base.one] + [base.zero] * (self.deg - 1))
         # y^(deg+k) reduced, for k = 0..deg-2 (enough for products)
         self._red = self._reduction_table()
-        # operation tables, filled by _tabulate(); None means schoolbook
-        self._add = self._sub = self._mul = self._neg = self._inv = None
+        # int codes and the operation tables over them, set by _code()
+        self.coded = False
+        self.add_table = self.sub_table = self.mul_table = None
+        self.neg_table = self.inv_table = None
 
-    def _tabulate(self):
-        """Fill the operation tables from the schoolbook operations, so
-        each entry equals the value it replaces.  Only for a field small
-        enough to tabulate over all pairs."""
-        els = list(self.elements())
-        add = {a: {b: self.add(a, b) for b in els} for a in els}
-        sub = {a: {b: self.sub(a, b) for b in els} for a in els}
-        mul = {a: {b: self.mul(a, b) for b in els} for a in els}
-        neg = {a: self.neg(a) for a in els}
-        inv = {a: self.inv(a) for a in els if a != self.zero}
-        self._add, self._sub, self._mul, self._neg, self._inv = (
-            add, sub, mul, neg, inv)
+    def _code(self):
+        """Switch a field over F_p to int codes: the tuple t becomes
+        sum_k t[k] p^k, and each operation a list indexed by code whose
+        entries are the schoolbook operations on tuples."""
+        p = self.p
+        tuples = list(self.elements())
+        code = {t: sum(d * p ** k for k, d in enumerate(t)) for t in tuples}
+        by_code = sorted(tuples, key=code.get)
+        tables = [[[code[op(a, b)] for b in by_code] for a in by_code]
+                  for op in (self.add, self.sub, self.mul)]
+        neg = [code[self.neg(a)] for a in by_code]
+        inv = [None] + [code[self.inv(a)] for a in by_code[1:]]
+        self._elements = [code[t] for t in tuples]
+        self._digits = by_code
+        self.add_table, self.sub_table, self.mul_table = tables
+        self.neg_table, self.inv_table = neg, inv
+        self.zero, self.one, self.coded = 0, 1, True
 
     def _reduction_table(self):
         b, d = self.base, self.deg
@@ -173,29 +188,31 @@ class PolyExtField:
         return table
 
     def gen(self):
+        if self.coded:
+            return self.p
         d = self.deg
         if d == 1:
             return self._red[0]
         return tuple([self.base.zero, self.base.one] + [self.base.zero] * (d - 2))
 
     def add(self, a, b):
-        if self._add is not None:
-            return self._add[a][b]
+        if self.coded:
+            return self.add_table[a][b]
         return tuple(self.base.add(x, y) for x, y in zip(a, b))
 
     def sub(self, a, b):
-        if self._sub is not None:
-            return self._sub[a][b]
+        if self.coded:
+            return self.sub_table[a][b]
         return tuple(self.base.sub(x, y) for x, y in zip(a, b))
 
     def neg(self, a):
-        if self._neg is not None:
-            return self._neg[a]
+        if self.coded:
+            return self.neg_table[a]
         return tuple(self.base.neg(x) for x in a)
 
     def mul(self, a, b):
-        if self._mul is not None:
-            return self._mul[a][b]
+        if self.coded:
+            return self.mul_table[a][b]
         base, d = self.base, self.deg
         prod = [base.zero] * (2 * d - 1)
         for i, x in enumerate(a):
@@ -217,8 +234,8 @@ class PolyExtField:
     def inv(self, a):
         if a == self.zero:
             raise ZeroDivisionError("inverse of zero in extension field")
-        if self._inv is not None:
-            return self._inv[a]
+        if self.coded:
+            return self.inv_table[a]
         # Fermat: a^(order-1) = 1 in a field
         return self.pow(a, self.order - 2)
 
@@ -240,16 +257,22 @@ class PolyExtField:
 
     def embed(self, a):
         """Embed a base-field element."""
+        if self.coded:
+            return a
         return tuple([a] + [self.base.zero] * (self.deg - 1))
 
     def from_int(self, n: int):
         return self.embed(self.base.from_int(n))
 
     def elements(self):
-        for digits in itertools.product(self.base.elements(), repeat=self.deg):
-            yield tuple(digits)
+        """All elements, in the order of their digit tuples' product."""
+        if self.coded:
+            return iter(self._elements)
+        return itertools.product(self.base.elements(), repeat=self.deg)
 
     def digits(self, a):
+        if self.coded:
+            return list(self._digits[a])
         out = []
         for x in a:
             out.extend(self.base.digits(x))
@@ -259,22 +282,49 @@ class PolyExtField:
         k = self.base.e
         if len(ds) != k * self.deg:
             raise ValueError("digit vector has wrong length")
-        return tuple(
+        t = tuple(
             self.base.from_digits(list(ds[i * k : (i + 1) * k])) for i in range(self.deg)
         )
+        if self.coded:
+            return sum(d * self.p ** i for i, d in enumerate(t))
+        return t
 
     def __eq__(self, other):
         return (
             isinstance(other, PolyExtField)
+            and other.coded == self.coded
             and other.base == self.base
             and other.modulus == self.modulus
         )
 
     def __hash__(self):
-        return hash(("PolyExtField", self.base, self.modulus))
+        return hash(("PolyExtField", self.base, self.modulus, self.coded))
 
     def __repr__(self):
         return f"GF({self.order})"
+
+
+def _digit_tuple(field, x):
+    """x as nested tuples of F_p digits: an int of F_p as it is, a coded
+    element as its digit tuple, any other element as the tuple of its
+    coordinates over the base."""
+    if field.int_elements:
+        return x
+    if field.coded:
+        return field._digits[x]
+    return tuple(_digit_tuple(field.base, c) for c in x)
+
+
+def show(field, x) -> str:
+    """The printed form of an element: str() of its digit tuple, e.g.
+    ``(0, 1)`` for the generator of F_4."""
+    return str(_digit_tuple(field, x))
+
+
+def show_tuple(field, a) -> str:
+    """The printed form of a tuple of elements, e.g. of a monic of
+    F_q[theta]: str() of the tuple of their digit tuples."""
+    return str(tuple(_digit_tuple(field, x) for x in a))
 
 
 @functools.cache
@@ -285,7 +335,7 @@ def GF(p: int, e: int = 1):
     if (p, e) not in _CONWAY:
         raise ValueError(f"no Conway polynomial stored for ({p}, {e})")
     field = PolyExtField(PrimeField(p), _CONWAY[(p, e)], name="x")
-    field._tabulate()
+    field._code()
     return field
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 from .carlitz import period_lattice, zeta_ratio
 from .context import Context
 from .errors import NotInSpanError, NotIrreducibleError, PrecisionError
+from .fields import show_tuple
 from .polys import Poly, RatFunc
 from .scalars import GradedScalar
 from .useries import USeries, dz, goss_series, scale_arg
@@ -328,7 +329,8 @@ def level_Ep(ctx: Context, p, N: int) -> ClassicalForm:
     if len(p) - 1 < 1:
         raise ValueError("level must have positive degree")
     if not ctx.is_irreducible(p):
-        raise NotIrreducibleError(f"{p} is not irreducible")
+        raise NotIrreducibleError(
+            f"{show_tuple(ctx.base_field, p)} is not irreducible")
     E = gen_E(ctx, N)
     scaled = scale_arg(E.series, p, N).scale(GradedScalar.from_poly(ctx.apoly(p)))
     return ClassicalForm(ctx, 2, 1, E.series - scaled)
@@ -343,7 +345,8 @@ def w_involution_check(ctx: Context, p, N: int):
     steps that are legitimate for a depth-1 quasi-modular pair.
     """
     if not ctx.is_irreducible(p):
-        raise NotIrreducibleError(f"{p} is not irreducible")
+        raise NotIrreducibleError(
+            f"{show_tuple(ctx.base_field, p)} is not irreducible")
     ring = ctx.ring
     one = GradedScalar.one(ctx.ring)
     pp = GradedScalar.from_poly(ctx.apoly(p))

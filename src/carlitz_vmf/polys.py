@@ -7,6 +7,13 @@ order everywhere is graded lexicographic with theta > t, i.e. compare
 ``num/den`` with gcd(num, den) = 1 and den monic for that order, so
 equality is literal dictionary equality.
 
+Coefficients are field elements as the field holds them: ints mod p over
+a prime field (products and Euclid reduce mod p inline); int codes over a
+Conway field F_{p^e}, whose add, sub, mul, neg and inv tables the
+arithmetic reads inline; tuples over a residue field, through the
+field's methods.  ``repr`` prints a coefficient as ``fields.show`` does,
+as its digit tuple whatever the encoding.
+
 Normalizing a fraction takes gcds, and the fraction operations take as
 few and as small ones as they can.  A sum over different denominators d1,
 d2 is normalized by Henrici's rule: with g = gcd(d1, d2) its numerator
@@ -28,6 +35,8 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+
+from .fields import show
 
 
 def _glex(key):
@@ -125,15 +134,16 @@ class Poly:
     def __repr__(self):
         if not self.c:
             return "0"
+        f = self.ring.field
         parts = []
         for (i, j) in sorted(self.c, key=_glex, reverse=True):
             coef = self.c[(i, j)]
-            s = "" if coef == self.ring.field.one and (i or j) else str(coef)
+            s = "" if coef == f.one and (i or j) else show(f, coef)
             if i:
                 s += ("*" if s else "") + ("theta" if i == 1 else f"theta^{i}")
             if j:
                 s += ("*" if s else "") + ("t" if j == 1 else f"t^{j}")
-            parts.append(s or str(coef))
+            parts.append(s or show(f, coef))
         return " + ".join(parts)
 
     # -- arithmetic ------------------------------------------------------
@@ -141,8 +151,19 @@ class Poly:
     def __add__(self, other):
         f = self.ring.field
         out = dict(self.c)
+        get = out.get
+        if f.coded:
+            # a sum is 0 only where k is set
+            add = f.add_table
+            for k, v in other.c.items():
+                s = add[get(k, 0)][v]
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
+            return Poly(self.ring, out)
         for k, v in other.c.items():
-            s = f.add(out.get(k, f.zero), v)
+            s = f.add(get(k, f.zero), v)
             if s == f.zero:
                 out.pop(k, None)
             else:
@@ -151,6 +172,9 @@ class Poly:
 
     def __neg__(self):
         f = self.ring.field
+        if f.coded:
+            neg = f.neg_table
+            return Poly(self.ring, {k: neg[v] for k, v in self.c.items()})
         return Poly(self.ring, {k: f.neg(v) for k, v in self.c.items()})
 
     def __sub__(self, other):
@@ -165,6 +189,10 @@ class Poly:
             if v0 == f.one:
                 return Poly(self.ring,
                             {(i + i0, j + j0): v for (i, j), v in other.c.items()})
+            if f.coded:
+                row = f.mul_table[v0]
+                return Poly(self.ring, {(i + i0, j + j0): row[v]
+                                        for (i, j), v in other.c.items()})
             return Poly(self.ring, {(i + i0, j + j0): f.mul(v, v0)
                                     for (i, j), v in other.c.items()})
         if len(other.c) == 1:
@@ -181,8 +209,21 @@ class Poly:
                     else:
                         out.pop(k, None)
             return Poly(self.ring, out)
-        add, mul, zero, get = f.add, f.mul, f.zero, out.get
-        other_items = other.c.items()
+        get, other_items = out.get, other.c.items()
+        if f.coded:
+            # one table row per term of self; a sum is 0 only where k is set
+            add, mul = f.add_table, f.mul_table
+            for (i1, j1), v1 in self.c.items():
+                row = mul[v1]
+                for (i2, j2), v2 in other_items:
+                    k = (i1 + i2, j1 + j2)
+                    s = add[get(k, 0)][row[v2]]
+                    if s:
+                        out[k] = s
+                    else:
+                        del out[k]
+            return Poly(self.ring, out)
+        add, mul, zero = f.add, f.mul, f.zero
         for (i1, j1), v1 in self.c.items():
             for (i2, j2), v2 in other_items:
                 k = (i1 + i2, j1 + j2)
@@ -197,6 +238,9 @@ class Poly:
         f = self.ring.field
         if c == f.zero:
             return self.ring.zero
+        if f.coded:
+            row = f.mul_table[c]
+            return Poly(self.ring, {k: row[v] for k, v in self.c.items()})
         return Poly(self.ring, {k: f.mul(v, c) for k, v in self.c.items()})
 
     def __pow__(self, n):
@@ -228,15 +272,20 @@ class Poly:
         if d.is_one():
             return self
         f = self.ring.field
-        zero, sub, mul = f.zero, f.sub, f.mul
         (di, dj), dc = d.lead()
-        dinv = f.inv(dc)
         d_items = list(d.c.items())
         rem = dict(self.c)
         heap = [(-i - j, -i) for i, j in rem]
         heapq.heapify(heap)
         pop, push = heapq.heappop, heapq.heappush
         q = {}
+        coded = f.coded
+        if coded:
+            sub, mul = f.sub_table, f.mul_table
+            dinv, neg = f.inv_table[dc], f.neg_table
+        else:
+            zero, sub, mul = f.zero, f.sub, f.mul
+            dinv = f.inv(dc)
         while rem:
             s, ni = pop(heap)
             k = (-ni, ni - s)
@@ -246,6 +295,22 @@ class Poly:
             i, j = k[0] - di, k[1] - dj
             if i < 0 or j < 0:
                 raise ArithmeticError("division is not exact")
+            if coded:
+                coef = q[(i, j)] = mul[v][dinv]
+                row = mul[coef]
+                for (mi, mj), w in d_items:
+                    kk = (mi + i, mj + j)
+                    old = rem.get(kk)
+                    if old is None:
+                        rem[kk] = neg[row[w]]
+                        push(heap, (-kk[0] - kk[1], -kk[0]))
+                    else:
+                        r = sub[old][row[w]]
+                        if r:
+                            rem[kk] = r
+                        else:
+                            del rem[kk]
+                continue
             coef = mul(v, dinv)
             q[(i, j)] = coef
             for (mi, mj), w in d_items:
@@ -389,8 +454,9 @@ def _lucas_binom(m, n, p):
 
 @functools.cache
 def _f2_packer(field):
-    """The ``_F2Packer`` of F_2 or of an extension of the prime field F_2,
-    built on first use and kept; None for every other field."""
+    """The ``_F2Packer`` of F_2 or of an extension of the prime field F_2
+    (coded or not), built on first use and kept; None for every other
+    field."""
     if field.p == 2 and (field.int_elements or field.base.int_elements):
         return _F2Packer(field)
     return None
@@ -402,39 +468,51 @@ class _F2Packer:
     A packed polynomial is ``[rows, terms, multiples]``.  ``rows`` lists
     ``(j, r)``: the F_2 digits of the coefficient of theta^i t^j sit in bits
     [i e, i e + e) of the int r, so sums are XORs.  ``terms`` lists
-    ``(i e, j, d)`` with d the element's digits read as an int (its code).
-    ``multiples`` is filled when first needed: entry d holds the rows times
-    the element of code d.  Multiplying rows by x moves every slot up one
-    bit and folds the bits that leave a slot back in with the reduction
-    row of x^e, so a product is XORs and shifts of ints only.
+    ``(i e, j, d)`` with d the element's digits read as an int: its code,
+    which is the element itself in F_2 and in a coded field.  Only an
+    untabulated extension of F_2 (a residue field at q = 2) maps its digit
+    tuples to codes and back.  ``multiples`` is filled when first needed:
+    entry d holds the rows times the element of code d.  Multiplying rows
+    by x moves every slot up one bit and folds the bits that leave a slot
+    back in with the reduction row of x^e, so a product is XORs and shifts
+    of ints only.
     """
 
     def __init__(self, field):
+        self.enc = self.dec = None
         if field.int_elements:
-            self.e, self.dec = 1, [0, 1]
+            self.e = 1
         else:
             e = self.e = field.deg
-            self.dec = [tuple((d >> k) & 1 for k in range(e))
-                        for d in range(1 << e)]
             self.red = sum(b << k for k, b in enumerate(field._red[0]))
-        self.enc = {v: d for d, v in enumerate(self.dec)}
+            if not field.coded:
+                self.dec = [tuple((d >> k) & 1 for k in range(e))
+                            for d in range(1 << e)]
+                self.enc = {v: d for d, v in enumerate(self.dec)}
         self.bits = self.ones = self.low = 0
 
+    def code(self, v):
+        return v if self.enc is None else self.enc[v]
+
     def pack(self, poly):
-        e, enc = self.e, self.enc
+        e = self.e
         rows, terms = {}, []
-        for (i, j), v in poly.c.items():
-            d, s = enc[v], i * e
+        items = poly.c.items()
+        if self.enc is not None:
+            enc = self.enc
+            items = [(k, enc[v]) for k, v in items]
+        for (i, j), d in items:
+            s = i * e
             rows[j] = rows.get(j, 0) | (d << s)
             terms.append((s, j, d))
         return [list(rows.items()), terms, None]
 
     def unpack(self, ring, rows):
         """(Poly, packed) of rows whose zero ints are left out."""
-        e, dec = self.e, self.dec
+        e = self.e
         c, terms = {}, []
         if e == 1:
-            one = dec[1]
+            one = 1 if self.dec is None else self.dec[1]
             for j, r in rows:
                 v = r
                 while v:
@@ -451,9 +529,12 @@ class _F2Packer:
                     b = (v & -v).bit_length() - 1
                     s = b - b % e
                     d = (v >> s) & mask
-                    c[(s // e, j)] = dec[d]
+                    c[(s // e, j)] = d
                     terms.append((s, j, d))
                     v ^= d << s
+            if self.dec is not None:
+                dec = self.dec
+                c = {k: dec[d] for k, d in c.items()}
         return Poly(ring, c), [rows, terms, None]
 
     def _times_x(self, r):
@@ -529,6 +610,8 @@ def _univar_gcd(a, b, field):
     """Monic gcd of two little-endian coefficient lists (Euclid)."""
     if field.int_elements:
         return _univar_gcd_prime(list(a), list(b), field.p)
+    if field.coded:
+        return _univar_gcd_coded(list(a), list(b), field)
     zero, sub, mul = field.zero, field.sub, field.mul
     a, b = list(a), list(b)
     da, db = _deg(a, len(a) - 1, zero), _deg(b, len(b) - 1, zero)
@@ -565,6 +648,26 @@ def _univar_gcd_prime(a, b, p):
             a, b, da, db = b, a, db, da
     inv = pow(a[da], p - 2, p)
     return [x * inv % p for x in a[: da + 1]]
+
+
+def _univar_gcd_coded(a, b, field):
+    """Euclid over a coded field, through its tables."""
+    sub, mul, inv = field.sub_table, field.mul_table, field.inv_table
+    da, db = _deg(a, len(a) - 1), _deg(b, len(b) - 1)
+    while db >= 0:
+        if da < db:
+            a, b, da, db = b, a, db, da
+            continue
+        row = mul[mul[a[da]][inv[b[db]]]]
+        off = da - db
+        for i in range(db + 1):
+            if b[i]:
+                a[off + i] = sub[a[off + i]][row[b[i]]]
+        da = _deg(a, da - 1)
+        if da < db:
+            a, b, da, db = b, a, db, da
+    row = mul[inv[a[da]]]
+    return [row[x] for x in a[: da + 1]]
 
 
 def _monomial_gcd(mono: Poly, other: Poly) -> Poly:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from .context import Context
 from .errors import (CarlitzVMFError, NotInSpanError, NotIrreducibleError,
                      PrecisionError)
-from .fields import PolyExtField
+from .fields import PolyExtField, show_tuple
 from .forms import ClassicalForm, a_expansion, express_in_gh, gen_E
 from .polys import Poly, RatFunc
 from .scalars import GradedScalar
@@ -23,7 +23,8 @@ from .vmf import VMForm, hecke
 class RootContext:
     def __init__(self, ctx: Context, p, frobenius_power: int = 0):
         if not ctx.is_irreducible(p):
-            raise NotIrreducibleError(f"{p} is not irreducible over F_{ctx.q}")
+            raise NotIrreducibleError(f"{show_tuple(ctx.base_field, p)} is not "
+                                      f"irreducible over F_{ctx.q}")
         self.ctx = ctx
         self.p = tuple(p)
         self.degree = len(p) - 1
@@ -43,7 +44,8 @@ class RootContext:
         return [RootContext(self.ctx, self.p, l) for l in range(self.degree)]
 
     def __repr__(self):
-        return f"RootContext(p={self.p}, l={self.frobenius_power})"
+        return (f"RootContext(p={show_tuple(self.ctx.base_field, self.p)}, "
+                f"l={self.frobenius_power})")
 
 
 class SpecializedForm:

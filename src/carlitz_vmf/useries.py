@@ -494,7 +494,7 @@ def _packed_inverse(lead: GradedScalar, f: list, lead_inv: GradedScalar,
     ((grade, c0),) = lead_inv.terms.items()
     fp = [(k, packer.pack(s.terms[g].num)) for k, s in f]
     y = _packed_solve(packer, ring, {0: packer.pack(ring.one)}, fp,
-                      packer.enc[c0.num.coeff(0, 0)], rel_prec)
+                      packer.code(c0.num.coeff(0, 0)), rel_prec)
     return {n: GradedScalar(ring, {grade: RatFunc(p, None, reduce=False)})
             for n, (p, _) in y.items()}
 

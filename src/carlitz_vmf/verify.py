@@ -17,6 +17,7 @@ import random
 from .carlitz import b_poly_twist, goss_poly, period_lattice, zeta_ratio
 from .context import Context
 from .errors import CarlitzVMFError, PrecisionError
+from .fields import show_tuple
 from .forms import (ClassicalForm, a_expansion, gen_Delta, gen_E, gen_fs,
                     gen_g, gen_goss_eis, gen_h, gen_h_a_expansion, gh_basis,
                     gh_monomials, para_eisenstein, ramanujan_serre)
@@ -210,7 +211,8 @@ def suite_hecke_eigen(q: int, N: int | None = None, primes=None,
         for name, H, eigen in (("T_p E1 = p E1", e1, ppol),
                                ("T_p Eq = p^q Eq", eqf, ppol ** q),
                                ("T_p(h F*) = p h F*", hf, ppol)):
-            _chk_same(checks, f"{name} at p={p}", hecke(ctx, p, H),
+            _chk_same(checks, f"{name} at p={show_tuple(ctx.base_field, p)}",
+                      hecke(ctx, p, H),
                       H.scale(GradedScalar.from_poly(eigen)))
     return _report("hecke-eigen", q, N, checks)
 
@@ -375,7 +377,8 @@ def suite_congruence(q: int, N: int = 32, *, checks: list) -> dict:
     for p in enumerate_primes(ctx, 2):
         for l in range(len(p) - 1):
             rep = congruence_check(RootContext(ctx, p, l), N)
-            _chk(checks, f"E = f_zeta mod (theta-zeta) at p={p}, l={l}",
+            _chk(checks, "E = f_zeta mod (theta-zeta) at "
+                 f"p={show_tuple(ctx.base_field, p)}, l={l}",
                  rep["ok"], detail=rep["first_failure"])
     return _report("congruence", q, N, checks)
 
@@ -386,7 +389,8 @@ def suite_vadic(q: int, N: int = 32, *, checks: list) -> dict:
     ctx = Context(q)
     for p in enumerate_primes(ctx, 2):
         rep = vadic_check(RootContext(ctx, p), 1, N)
-        _chk(checks, f"p-adic divisibility at p={p}, n=1", rep["ok"],
+        _chk(checks, "p-adic divisibility at "
+             f"p={show_tuple(ctx.base_field, p)}, n=1", rep["ok"],
              detail=rep["first_failure"])
     return _report("vadic", q, N, checks)
 
@@ -487,7 +491,8 @@ def suite_oracles(q: int, N: int | None = None, *, checks: list) -> dict:
                     GradedScalar.from_rat(c))
             d1 = lhs.first_difference(rhs)
             d2 = brute.first_difference(rhs)
-            _chk(checks, f"coset orthogonality k={k}, a={a} (coprime)",
+            _chk(checks, f"coset orthogonality k={k}, "
+                 f"a={show_tuple(ctx.base_field, a)} (coprime)",
                  d1 is None and d2 is None, _fmt_diff(d1 or d2))
     # p | a: the trace must vanish
     pa = tuple([ctx.base_field.zero] + list(p))  # theta * p

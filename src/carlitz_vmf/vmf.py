@@ -28,6 +28,7 @@ from .carlitz import b_poly_twist, period_lattice, zeta_ratio
 from .context import Context
 from .errors import (CarlitzVMFError, NotInSpanError, NotIrreducibleError,
                      PrecisionError)
+from .fields import show_tuple
 from .forms import (ClassicalForm, a_expansion, gen_goss_eis, gen_h, gh_basis,
                     gh_monomials, solve_in_span)
 from .polys import RatFunc
@@ -144,17 +145,21 @@ def lambda_q(ctx: Context) -> GradedScalar:
 # -- the character correction --------------------------------------------------
 
 
-def _chi_terms(ctx: Context, a) -> list:
+def _chi_terms(ctx: Context, a) -> tuple:
     """The terms of `chi_correction`, which `hecke`'s r0 traces one at a
     time: one (exponent, scalar) pair (-q^(i-l-1), [a]_i tau^(i-l)(b_l)
-    om^(-1)) for each l < i <= deg a with [a]_i != 0; exponents may repeat."""
-    coeffs = ctx.carlitz_coeffs(a)
-    d = len(a) - 1
-    return [(-ctx.q ** (i - l - 1),
-             GradedScalar.from_poly(coeffs[i] * b_poly_twist(ctx, l, i - l),
-                                    0, -1))
-            for l in range(d) for i in range(l + 1, d + 1)
-            if not coeffs[i].is_zero()]
+    om^(-1)) for each l < i <= deg a with [a]_i != 0; exponents may repeat.
+    Built once per context and monic."""
+    def build():
+        coeffs = ctx.carlitz_coeffs(a)
+        d = len(a) - 1
+        return tuple((-ctx.q ** (i - l - 1),
+                      GradedScalar.from_poly(
+                          coeffs[i] * b_poly_twist(ctx, l, i - l), 0, -1))
+                     for l in range(d) for i in range(l + 1, d + 1)
+                     if not coeffs[i].is_zero())
+
+    return ctx.memo(("chi_terms", a), build)
 
 
 def chi_correction(ctx: Context, a, N: int | None = None) -> USeries:
@@ -256,7 +261,8 @@ def hecke(ctx: Context, p, H: VMForm) -> VMForm:
     r1 = chi_correction(p) * h1(p z), where s is the pole order of
     chi_correction(p), but never past P1 + s, so r1 is never known past P1."""
     if not ctx.is_irreducible(p):
-        raise NotIrreducibleError(f"{p} is not irreducible")
+        raise NotIrreducibleError(
+            f"{show_tuple(ctx.base_field, p)} is not irreducible")
     if not H.regular:
         raise CarlitzVMFError(
             "the Hecke operator is only closed on forms regular at infinity"

@@ -1,8 +1,12 @@
+import copy
+import itertools
+
 import pytest
 
 from carlitz_vmf.context import Context
 from carlitz_vmf.fields import (
-    _CONWAY, GF, PolyExtField, PrimeField, field_from_order, is_prime,
+    _CONWAY, GF, PolyExtField, PrimeField, field_from_order, is_prime, show,
+    show_tuple,
 )
 
 
@@ -71,26 +75,105 @@ def test_extension_of_extension():
         assert count == order
 
 
-@pytest.mark.parametrize("p, e", sorted(k for k in _CONWAY if k[1] > 1))
+CONWAY_EXT = sorted(k for k in _CONWAY if k[1] > 1)
+
+
+@pytest.mark.parametrize("p, e", CONWAY_EXT)
 def test_tables_agree_with_schoolbook(p, e):
     F = GF(p, e)
     ref = PolyExtField(PrimeField(p), _CONWAY[(p, e)], name="x")
-    assert F._mul is not None and ref._mul is None
-    # Context compares coefficient fields, so the two must be one field
-    assert F == ref and hash(F) == hash(ref)
+    assert F.coded and not ref.coded
+    # GF and the F_2 packer are caches keyed on the field: the int-coded
+    # field and the digit-tuple field on the same modulus must not collide
+    assert F != ref
     els = list(ref.elements())
-    assert list(F.elements()) == els
+    code = {a: F.from_digits(list(a)) for a in els}
+    assert list(F.elements()) == [code[a] for a in els]
     for a in els:
-        assert F.neg(a) == ref.neg(a)
+        assert F.neg(code[a]) == code[ref.neg(a)]
         if a == ref.zero:
             with pytest.raises(ZeroDivisionError):
-                F.inv(a)
+                F.inv(code[a])
         else:
-            assert F.inv(a) == ref.inv(a)
+            assert F.inv(code[a]) == code[ref.inv(a)]
         for b in els:
-            assert F.add(a, b) == ref.add(a, b)
-            assert F.sub(a, b) == ref.sub(a, b)
-            assert F.mul(a, b) == ref.mul(a, b)
+            assert F.add(code[a], code[b]) == code[ref.add(a, b)]
+            assert F.sub(code[a], code[b]) == code[ref.sub(a, b)]
+            assert F.mul(code[a], code[b]) == code[ref.mul(a, b)]
+
+
+def _code(p, t):
+    """The int code of a digit tuple, written out: sum_k t[k] p^k."""
+    return sum(d * p ** k for k, d in enumerate(t))
+
+
+def _oracle_failures(F, p, e):
+    """Every way the coded field F departs from the schoolbook field on
+    digit tuples, read through the code map written out in ``_code``."""
+    ref = PolyExtField(PrimeField(p), _CONWAY[(p, e)], name="x")
+    els = list(itertools.product(range(p), repeat=e))
+    bad = []
+    if list(F.elements()) != [_code(p, t) for t in els]:
+        bad.append("element order")
+    for t in els:
+        c = _code(p, t)
+        if F.digits(c) != list(t) or F.from_digits(list(t)) != c:
+            bad.append(f"digits of {t}")
+        if show(F, c) != str(t):
+            bad.append(f"display of {t}")
+        if F.neg_table[c] != _code(p, ref.neg(t)):
+            bad.append(f"neg {t}")
+        if c and F.inv_table[c] != _code(p, ref.inv(t)):
+            bad.append(f"inv {t}")
+        for u in els:
+            for name in ("add", "sub", "mul"):
+                table = getattr(F, name + "_table")
+                if table[c][_code(p, u)] != _code(p, getattr(ref, name)(t, u)):
+                    bad.append(f"{name} {t} {u}")
+    return bad
+
+
+@pytest.mark.parametrize("p, e", CONWAY_EXT)
+def test_tables_match_the_written_out_code_map(p, e):
+    assert _oracle_failures(GF(p, e), p, e) == []
+
+
+def _swap_codes(F, c1, c2):
+    """F as ``_code`` would build it with the codes c1 and c2 swapped in
+    its map from digit tuples to ints."""
+    codes = range(F.order)
+    swap = list(codes)
+    swap[c1], swap[c2] = c2, c1
+    G = copy.copy(F)
+    G._digits = [F._digits[swap[c]] for c in codes]
+    G._elements = [swap[c] for c in F._elements]
+    for name in ("add", "sub", "mul"):
+        table = getattr(F, name + "_table")
+        setattr(G, name + "_table", [[swap[table[swap[a]][swap[b]]] for b in codes]
+                                     for a in codes])
+    G.neg_table = [swap[F.neg_table[swap[a]]] for a in codes]
+    G.inv_table = [None] + [swap[F.inv_table[swap[a]]] for a in codes[1:]]
+    return G
+
+
+@pytest.mark.parametrize("p, e", CONWAY_EXT)
+def test_oracle_catches_two_swapped_codes(p, e):
+    # swapping x and x + 1 in F_4 is the Frobenius: the tables survive it,
+    # and only the digits, the order and the display give it away
+    F = GF(p, e)
+    assert _oracle_failures(_swap_codes(F, p, p + 1), p, e)
+    assert _oracle_failures(_swap_codes(F, 1, F.order - 1), p, e)
+
+
+def test_tower_elements_are_tuples_of_base_codes():
+    F4 = GF(2, 2)
+    F16 = PolyExtField(F4, (F4.gen(), F4.one, F4.one))
+    assert F16.zero == (0, 0) and F16.one == (1, 0) and F16.gen() == (0, 1)
+    assert F16.digits((2, 3)) == [0, 1, 1, 1]
+    assert F16.from_digits([0, 1, 1, 1]) == (2, 3)
+    assert show(F16, (2, 3)) == "((0, 1), (1, 1))"
+    assert show_tuple(F4, (2, 3, 1)) == "((0, 1), (1, 1), (1, 0))"
+    assert show_tuple(GF(3), (2, 1)) == "(2, 1)"
 
 
 def _f16():

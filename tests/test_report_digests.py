@@ -1,0 +1,52 @@
+"""Byte-identity guard for the verify reports that print field elements.
+
+Check names and details spell monics and coefficients over F_4, F_8 and
+F_9 as digit tuples (``at p=((0, 0), (1, 0))``, ``got ((1, 0))*om^-1``),
+so these reports change whenever the element encoding or its display
+does.  The digests pin the sha256 of ``serialize.canonical_dumps`` of
+each report, recorded when F_{p^e} still held its elements as digit
+tuples, before the int codes.
+"""
+
+import hashlib
+
+import pytest
+
+from carlitz_vmf import serialize
+from carlitz_vmf.verify import run_suite
+
+DIGESTS = {
+    (4, "congruence", None):
+        "2fb70f26fb62a73e34a82f80d173da6e2a88873f9596e910387cd8afa71e440c",
+    (4, "vadic", None):
+        "5c9d3a875ac015938ffbc4c8f9f9de0662f548360d4df7dcfb13a33c718657db",
+    (4, "hecke-eigen", None):
+        "34750969fab47aab221c4500ad872f1398f62c4cc960d37241dcabf00fbda6b0",
+    (4, "oracles", None):
+        "7e5a03d5409b9a47b7f47bdf88b6a807124b0adf1c479676a4ae9b002828e45a",
+    (4, "eisenstein-aexp", None):
+        "29d894c5d4c4b11e94bc673a88783a2d34221340bb2d8ca33a0bd6227f2577ba",
+    (4, "specialize-petrov", None):
+        "9412a79df8b9fd4aad45d9d7110beff2e417624be4efaade085d2fd5a05310f1",
+    (4, "legendre", 49):
+        "8114f4146e8fbc2d22948f228c5dcc56ba4ae0fe4b2278c47cf295a5ab7eb779",
+    (8, "det", None):
+        "a2ffd7b69ccc84d85f657f31c0c61e89d6b815cfe6f7eae4e22ad52c0d7e9258",
+    (8, "generators", None):
+        "004b650391464abb4f5eee9c6083d1f7914b5d225969d98ed591dd64dc0bfc9e",
+    (8, "eisenstein-aexp", None):
+        "dc1282e6c567ee4ad855696e72e81fce1adb8def5e7ea4c3be9ebe7f3575de80",
+    (9, "det", None):
+        "a91ab06924bc34cc25a580f3d7752317519d0e86b2df97c2f5561567ec6d6b25",
+    (9, "generators", None):
+        "1d2f223cf893988e21139dec87a6fa0cc060d3b6ca14edf87bb57c39fee455f0",
+    (9, "eisenstein-aexp", None):
+        "65b422334892ebcdcb6627fc625a2e987be1edc62a05d31ef45d04be87724da0",
+}
+
+
+@pytest.mark.parametrize("q, suite, N", sorted(DIGESTS, key=str),
+                         ids=lambda v: str(v))
+def test_report_bytes_are_pinned(q, suite, N):
+    text = serialize.canonical_dumps(run_suite(suite, q, N))
+    assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[(q, suite, N)]

@@ -88,7 +88,7 @@ def test_digit_strings():
     assert ser.elt_from_digits(F121, "3,10") == (3, 10)
     # without a separator, each character is one digit
     assert ser.elt_from_digits(F121, "10") == (1, 0)
-    assert ser.digits_str(GF(3, 2), (2, 1)) == "21"
+    assert ser.digits_str(GF(3, 2), GF(3, 2).from_digits([2, 1])) == "21"
     for field, s in ((GF(2), "2"), (F11, "11"), (F121, "3,11"),
                      (GF(3, 2), "13")):
         with pytest.raises(ValueError):
