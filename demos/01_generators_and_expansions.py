@@ -7,7 +7,7 @@ and Delta = -h^(q-1).
 """
 
 from carlitz_vmf.context import Context
-from carlitz_vmf.forms import gen_Delta, gen_E, gen_g, gen_h, gen_h_a_expansion
+from carlitz_vmf.forms import gen_Delta, gen_E, gen_g, gen_h, gen_h_derivation
 
 q = 3
 N = 40
@@ -37,8 +37,9 @@ print("\nnonzero g-coefficients inside the gap:", gap or "none")
 print("Delta == -h^(q-1):",
       Delta.series.eq_to_prec(-(h.series ** (q - 1))))
 
-# h has two independent constructions: the weight-raising derivation of g
-# and the monic-indexed expansion; they agree coefficient by coefficient
-h2 = gen_h_a_expansion(ctx, N)
+# h has two independent constructions: the monic-indexed expansion
+# -sum a^q u(az) (gen_h) and the weight-raising derivation of g; they
+# agree coefficient by coefficient
+h2 = gen_h_derivation(ctx, N)
 print("h from the derivation == h from the monic expansion:",
-      h.series.eq_to_prec(h2.series))
+      h2.series.eq_to_prec(h.series))

@@ -3,7 +3,20 @@
 A `Context` fixes q = p^e and the coefficient field of the series
 engine.  The structure constants (monic enumeration, Carlitz data) always
 live over F_q; specializations at roots of unity reuse the same machinery
-with the coefficient field enlarged to F_{q^d}.
+with the coefficient field enlarged to F_{q^d}.  Such a context records
+the F_q context it extends as ``parent``, and the F_q-rational series
+(``u_scale``'s u(a z) and ``gen_E``'s E) are built once there and read
+over F_{q^d} through ``embed``.
+
+Two caches sit on a context.  ``memo(key, build)`` keeps one value per
+key.  ``memo_upto(key, N, build)`` keeps one value per key for the
+truncated series that a precision N names: it serves a request at N from
+the highest build so far, cut to N, and keeps only that top build.  It
+serves ``u_scale``, the Y^e of ``useries._power_of_y``, the forms
+``gen_E``, ``gen_g``, ``gen_h``, ``gen_Delta``, ``gen_fs`` and
+``gen_goss_eis``, and the vectorial series ``eis1``, ``eis_q`` and
+``eis_k``: a build at M > N cut to N equals a build at N, coefficients,
+precision and flags (the truncation tests pin this per builder).
 """
 
 from __future__ import annotations
@@ -17,7 +30,8 @@ from .scalars import GradedScalar
 
 class Context:
     def __init__(self, q: int | None = None, *, p: int | None = None,
-                 e: int | None = None, coeff_field=None):
+                 e: int | None = None, coeff_field=None,
+                 parent: "Context | None" = None):
         if q is None:
             if p is None:
                 raise ValueError("give q or (p, e)")
@@ -31,6 +45,11 @@ class Context:
         self.coeff_field = coeff_field if coeff_field is not None else self.base_field
         self.ring = PolyRing(self.coeff_field)
         self.cache: dict = {}
+        self.tops: dict = {}
+        if parent is not None and (parent.q != self.q or
+                                   parent.coeff_field != parent.base_field):
+            raise ValueError("a parent context must be F_q itself")
+        self.parent = parent
         if self.coeff_field == self.base_field:
             self.embed = lambda x: x
         else:
@@ -48,6 +67,26 @@ class Context:
         if key not in self.cache:
             self.cache[key] = fn()
         return self.cache[key]
+
+    def memo_upto(self, key, N: int, build):
+        """The value that ``build`` makes at precision N, served from the
+        highest build of key so far: with a build at M >= N on hand it is
+        that build cut to N (``value.truncate(N)``); otherwise ``build``
+        runs through `memo` under (key, N) and replaces the build at M, so
+        one build per key is kept.  ``build`` takes no arguments (it
+        closes over N), so a tracer of `memo` charges it to the builder
+        that defined it."""
+        M = self.tops.get(key)
+        if M is not None and M >= N:
+            out = self.memo((key, M), build)
+            if M == N:
+                return out
+            return out.truncate(N)
+        out = self.memo((key, N), build)
+        if M is not None:
+            del self.cache[(key, M)]
+        self.tops[key] = N
+        return out
 
     def gs(self, p: Poly, pi: int = 0, om: int = 0) -> GradedScalar:
         """`GradedScalar.from_poly`, kept only because

@@ -3,9 +3,12 @@
 All stored series are period-normalized: the honest expansion of a weight
 k form equals pi^k times the stored one, and the stored coefficients are
 rational (grade zero).  The generators g, h, Delta, E and the special
-families are produced from their expansions indexed by monic polynomials;
-h is built from the weight-raising derivation applied to g and is
-cross-checked elsewhere against its own monic-indexed expansion.
+families are produced from their expansions indexed by monic polynomials,
+h among them as -sum a^q u(az) (Gekeler 1988); the weight-raising
+derivation applied to g (``gen_h_derivation``) is the independent route
+the checks compare it with.  ``gen_E``, ``gen_g``, ``gen_h``,
+``gen_Delta``, ``gen_fs`` and ``gen_goss_eis`` keep their highest build
+per context (``Context.memo_upto``) and serve lower precisions from it.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from .errors import NotInSpanError, NotIrreducibleError, PrecisionError
 from .fields import show_tuple
 from .polys import Poly, RatFunc
 from .scalars import GradedScalar
-from .useries import USeries, dz, goss_series, scale_arg
+from .useries import USeries, dz, embed_series, goss_series, scale_arg
 
 
 class ClassicalForm:
@@ -58,6 +61,10 @@ class ClassicalForm:
     def scale(self, scalar: GradedScalar):
         return ClassicalForm(self.ctx, self.weight, self.type_, self.series.scale(scalar))
 
+    def truncate(self, N: int):
+        return ClassicalForm(self.ctx, self.weight, self.type_,
+                             self.series.truncate(N), self.gh)
+
     def __repr__(self):
         return f"ClassicalForm(weight={self.weight}, type={self.type_}, {self.series})"
 
@@ -81,13 +88,17 @@ def a_expansion(ctx: Context, coeff_fn, k: int, N: int) -> USeries:
 
 
 def gen_E(ctx: Context, N: int) -> ClassicalForm:
-    """False Eisenstein series of weight 2, type 1: sum a u(az)."""
+    """False Eisenstein series of weight 2, type 1: sum a u(az).  Over
+    F_{q^d} with an F_q parent context it is the parent's E, embedded."""
     def build():
-        s = a_expansion(ctx, lambda a: GradedScalar.from_poly(ctx.apoly(a)), 1,
-                        N)
+        if ctx.parent is not None:
+            s = embed_series(ctx, gen_E(ctx.parent, N).series)
+        else:
+            s = a_expansion(ctx, lambda a: GradedScalar.from_poly(ctx.apoly(a)),
+                            1, N)
         return ClassicalForm(ctx, 2, 1, s)
 
-    return ctx.memo(("E", N), build)
+    return ctx.memo_upto("E", N, build)
 
 
 def gen_g(ctx: Context, N: int) -> ClassicalForm:
@@ -99,7 +110,7 @@ def gen_g(ctx: Context, N: int) -> ClassicalForm:
         series = USeries.one(ctx, N) - s.scale(GradedScalar.from_poly(br))
         return ClassicalForm(ctx, q - 1, 0, series)
 
-    return ctx.memo(("g", N), build)
+    return ctx.memo_upto("g", N, build)
 
 
 def gen_Delta(ctx: Context, N: int) -> ClassicalForm:
@@ -116,17 +127,21 @@ def gen_Delta(ctx: Context, N: int) -> ClassicalForm:
         )
         return ClassicalForm(ctx, q * q - 1, 0, -s)
 
-    return ctx.memo(("Delta", N), build)
+    return ctx.memo_upto("Delta", N, build)
 
 
 def gen_fs(ctx: Context, s: int, N: int) -> ClassicalForm:
     """Single-cuspidal family: sum a^(1+s(q-1)) u(az)."""
     if s < 1:
         raise ValueError("s must be positive")
-    exp = 1 + s * (ctx.q - 1)
-    series = a_expansion(
-        ctx, lambda a: GradedScalar.from_poly(ctx.apoly(a) ** exp), 1, N)
-    return ClassicalForm(ctx, 2 + s * (ctx.q - 1), 1, series)
+
+    def build():
+        exp = 1 + s * (ctx.q - 1)
+        series = a_expansion(
+            ctx, lambda a: GradedScalar.from_poly(ctx.apoly(a) ** exp), 1, N)
+        return ClassicalForm(ctx, 2 + s * (ctx.q - 1), 1, series)
+
+    return ctx.memo_upto(("fs", s), N, build)
 
 
 def gen_goss_eis(ctx: Context, m: int, N: int) -> ClassicalForm:
@@ -138,7 +153,7 @@ def gen_goss_eis(ctx: Context, m: int, N: int) -> ClassicalForm:
         series = USeries.const(ctx, -zr, N) - s
         return ClassicalForm(ctx, m, 0, series)
 
-    return ctx.memo(("goss_eis", m, N), build)
+    return ctx.memo_upto(("goss_eis", m), N, build)
 
 
 def ramanujan_serre(ctx: Context, f: ClassicalForm) -> ClassicalForm:
@@ -157,22 +172,21 @@ def ramanujan_serre(ctx: Context, f: ClassicalForm) -> ClassicalForm:
 
 
 def gen_h(ctx: Context, N: int) -> ClassicalForm:
-    """Weight q+1, type 1, leading coefficient -1: the derivation applied
-    to g."""
+    """Weight q+1, type 1, leading coefficient -1: -sum a^q u(az), one
+    monic sum over the u(az) (Gekeler, Invent. Math. 93, 1988)."""
     def build():
-        # run the derivation one order higher so the result is good to N
-        g = gen_g(ctx, N + 1)
-        d = ramanujan_serre(ctx, g)
-        return ClassicalForm(ctx, ctx.q + 1, 1, d.series.truncate(N))
+        series = -a_expansion(
+            ctx, lambda a: GradedScalar.from_poly(ctx.apoly(a) ** ctx.q), 1, N)
+        return ClassicalForm(ctx, ctx.q + 1, 1, series)
 
-    return ctx.memo(("h", N), build)
+    return ctx.memo_upto("h", N, build)
 
 
-def gen_h_a_expansion(ctx: Context, N: int) -> ClassicalForm:
-    """Independent route to h: -sum a^q u(az)."""
-    series = -a_expansion(
-        ctx, lambda a: GradedScalar.from_poly(ctx.apoly(a) ** ctx.q), 1, N)
-    return ClassicalForm(ctx, ctx.q + 1, 1, series)
+def gen_h_derivation(ctx: Context, N: int) -> ClassicalForm:
+    """Independent route to h: the weight-raising derivation applied to g,
+    run one order higher (g and E to O(u^(N+1))) and cut to O(u^N)."""
+    d = ramanujan_serre(ctx, gen_g(ctx, N + 1))
+    return ClassicalForm(ctx, ctx.q + 1, 1, d.series.truncate(N))
 
 
 def para_eisenstein(ctx: Context, k: int, N: int) -> ClassicalForm:

@@ -4,7 +4,10 @@ A `RootContext` fixes a monic prime p of degree d, the residue field
 F_{q^d} = F_q[y]/(p(y)), a chosen conjugate zeta^(q^l) of the root, and a
 twin arithmetic context whose coefficient field is F_{q^d} so the series
 machinery (argument scaling, coset traces, monic sums) can run on the
-specialized side unchanged.
+specialized side unchanged.  The twin records the F_q context as its
+parent and borrows the F_q-rational series from it: u(a z) and E are
+built once over F_q, for all the root contexts of that parent, and read
+over F_{q^d} through the embedding.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ class RootContext:
         self.field = PolyExtField(ctx.base_field, self.p, name="zeta")
         self.zeta = self.field.gen()
         self.zeta_power = self.field.pow(self.zeta, ctx.q ** frobenius_power)
-        self.spec_ctx = Context(q=ctx.q, coeff_field=self.field)
+        self.spec_ctx = Context(q=ctx.q, coeff_field=self.field, parent=ctx)
         self.spec_ring = self.spec_ctx.ring
         self.embed = self.field.embed
         self.character_exponent = ctx.q ** frobenius_power

@@ -27,7 +27,9 @@ Frobenius image.  So u(a z)^e is a Frobenius image of the Y that
 ``u_scale`` caches, divided by a twist Frob^j(P_a) once per remaining
 unit of the base-p digits of e; a division is the sparse recurrence of
 ``inverse`` (``_solve``, packed over F_2 and F_{2^e} by
-``_packed_solve``).
+``_packed_solve``).  Both u(a z) and each Y^e are kept per context at
+their highest precision (``Context.memo_upto``), and a context over
+F_{q^d} reads u(a z) from its F_q parent (``embed_series``).
 """
 
 from __future__ import annotations
@@ -515,28 +517,49 @@ def quotients(nums, den: USeries) -> list:
 
 
 def u_scale(ctx: Context, a, prec: int) -> USeries:
-    """The series of u(a z): invert the Carlitz action on 1/u."""
+    """The series of u(a z): invert the Carlitz action on 1/u.
+
+    Built once per monic through ``ctx.memo_upto``; on a context over
+    F_{q^d} with an F_q parent it is the parent's series read through
+    ``embed_series``."""
     if not a or a[-1] != ctx.base_field.one:
         raise ValueError("a must be monic")
     d = len(a) - 1
     if d == 0:
         return USeries.u(ctx).truncate(prec)
-    key = ("u_scale", a)
-    cached = ctx.cache.get(key)
-    if cached is not None and cached.prec >= prec:
-        return cached.truncate(prec)
-    Q = ctx.q ** d
-    coeffs = ctx.carlitz_coeffs(a)
-    # C_a(1/u) = u^(-Q) * sum_i [a]_i u^(Q - q^i)
-    P = USeries(
-        ctx,
-        {Q - ctx.q ** i: GradedScalar.from_poly(c)
-         for i, c in enumerate(coeffs) if not c.is_zero()},
-    )
-    rel = max(prec - Q, 1)
-    out = P.inverse(rel).shift(Q).truncate(prec)
-    ctx.cache[key] = out
-    return out
+
+    def build():
+        if ctx.parent is not None:
+            return embed_series(ctx, u_scale(ctx.parent, a, prec))
+        Q = ctx.q ** d
+        coeffs = ctx.carlitz_coeffs(a)
+        # C_a(1/u) = u^(-Q) * sum_i [a]_i u^(Q - q^i)
+        P = USeries(
+            ctx,
+            {Q - ctx.q ** i: GradedScalar.from_poly(c)
+             for i, c in enumerate(coeffs) if not c.is_zero()},
+        )
+        rel = max(prec - Q, 1)
+        return P.inverse(rel).shift(Q).truncate(prec)
+
+    return ctx.memo_upto(("u_scale", a), prec, build)
+
+
+def embed_series(ctx: Context, f: USeries) -> USeries:
+    """A series over the F_q context ``ctx.parent`` read over ctx's field
+    F_{q^d}: every field element through ``ctx.embed``.  Each fraction
+    keeps its form with no gcd, since a gcd over F_q is one over F_{q^d}
+    and a denominator whose lead is 1 keeps that lead."""
+    ring, embed = ctx.ring, ctx.embed
+
+    def poly(p):
+        return Poly(ring, {k: embed(v) for k, v in p.c.items()})
+
+    return USeries(ctx, {
+        n: GradedScalar(ring, {g: RatFunc(poly(r.num), poly(r.den),
+                                          reduce=False)
+                               for g, r in c.terms.items()})
+        for n, c in f.c.items()}, f.prec)
 
 
 def scale_arg(f: USeries, a, prec: int | None = None) -> USeries:
@@ -573,8 +596,8 @@ def _frobenius(f, j: int):
     return Poly(f.ring, {(i * m, l * m): v for (i, l), v in f.c.items()})
 
 
-def _power_of_y(ctx: Context, a, Y: dict, e: int, rel: int) -> dict:
-    """{n: Poly} below u^rel of Y^e, Y = 1 / P_a for monic a of degree d,
+def _power_of_y(ctx: Context, a, Y: dict, e: int, rel: int) -> USeries:
+    """The series Y^e known below u^rel, Y = 1 / P_a for monic a of degree d,
     P_a = sum_i [a]_i u^(Q - q^i), Q = q^d, and Y = {n: Poly} known below
     u^rel at least.
 
@@ -582,30 +605,39 @@ def _power_of_y(ctx: Context, a, Y: dict, e: int, rel: int) -> dict:
     twist Frob^(j0)(Y) divided once by Frob^j(P_a) = sum_i [a]_i^(p^j)
     u^(p^j (Q - q^i)) for each other unit of the digits.  Each division
     is the recurrence of ``_solve`` over the d terms of positive degree,
-    packed over F_2 and F_(2^e)."""
-    ring, p, q = ctx.ring, ctx.p, ctx.q
-    digits = []
-    while e:
-        digits.append(e % p)
-        e //= p
-    j0 = len(digits) - 1
-    digits[j0] -= 1
-    m = p ** j0
-    x = {n * m: _frobenius(c, j0) for n, c in Y.items() if n * m < rel}
-    coeffs, d = ctx.carlitz_coeffs(a), len(a) - 1
-    divisors = [[(p ** j * (q ** d - q ** i), _frobenius(coeffs[i], j))
-                 for i in range(d - 1, -1, -1) if not coeffs[i].is_zero()]
-                for j, ej in enumerate(digits) for _ in range(ej)]
-    packer = _f2_packer(ring.field)
-    if packer is None or not divisors:
-        for f in divisors:
-            x = _solve(x, f, rel)
-        return x
-    y = {n: (c, packer.pack(c)) for n, c in x.items()}
-    for f in divisors:
-        y = _packed_solve(packer, ring, {n: b for n, (_, b) in y.items()},
-                          [(k, packer.pack(c)) for k, c in f], 1, rel)
-    return {n: c for n, (c, _) in y.items()}
+    packed over F_2 and F_(2^e).  Kept per (a, e) by ``ctx.memo_upto``:
+    the recurrence fixes y_n from the terms below n, so a build to a
+    higher rel cut to rel is the build to rel."""
+    def build():
+        ring, p, q = ctx.ring, ctx.p, ctx.q
+        digits = []
+        rest = e
+        while rest:
+            digits.append(rest % p)
+            rest //= p
+        j0 = len(digits) - 1
+        digits[j0] -= 1
+        m = p ** j0
+        x = {n * m: _frobenius(c, j0) for n, c in Y.items() if n * m < rel}
+        coeffs, d = ctx.carlitz_coeffs(a), len(a) - 1
+        divisors = [[(p ** j * (q ** d - q ** i), _frobenius(coeffs[i], j))
+                     for i in range(d - 1, -1, -1) if not coeffs[i].is_zero()]
+                    for j, ej in enumerate(digits) for _ in range(ej)]
+        packer = _f2_packer(ring.field)
+        if packer is None or not divisors:
+            for f in divisors:
+                x = _solve(x, f, rel)
+        else:
+            y = {n: (c, packer.pack(c)) for n, c in x.items()}
+            for f in divisors:
+                y = _packed_solve(packer, ring,
+                                  {n: b for n, (_, b) in y.items()},
+                                  [(k, packer.pack(c)) for k, c in f], 1, rel)
+            x = {n: c for n, (c, _) in y.items()}
+        return USeries(ctx, {n: GradedScalar.from_poly(c) for n, c in x.items()},
+                       rel)
+
+    return ctx.memo_upto(("Y^e", a, e), rel, build)
 
 
 def goss_series(ctx: Context, L, k: int, a, prec: int) -> USeries:
@@ -628,13 +660,9 @@ def goss_series(ctx: Context, L, k: int, a, prec: int) -> USeries:
              for e, c in sorted(g.items()) if e * Q < out]
     if len(terms) == 1 and terms[0][0].is_one():
         ((_, n, y),) = terms
-        return USeries(ctx, {m + n: GradedScalar.from_poly(c)
-                             for m, c in y.items()}, out)
-    return USeries.lincomb(ctx, [
-        (GradedScalar.from_rat(c),
-         USeries(ctx, {m: GradedScalar.from_poly(v) for m, v in y.items()},
-                 out - n),
-         n) for c, n, y in terms], out)
+        return y.shift(n)
+    return USeries.lincomb(ctx, [(GradedScalar.from_rat(c), y, n)
+                                 for c, n, y in terms], out)
 
 
 def trace_div(f: USeries, p) -> USeries:

@@ -19,7 +19,7 @@ from .context import Context
 from .errors import CarlitzVMFError, PrecisionError
 from .fields import show_tuple
 from .forms import (ClassicalForm, a_expansion, gen_Delta, gen_E, gen_fs,
-                    gen_g, gen_goss_eis, gen_h, gen_h_a_expansion, gh_basis,
+                    gen_g, gen_goss_eis, gen_h, gen_h_derivation, gh_basis,
                     gh_monomials, para_eisenstein, ramanujan_serre)
 from .polys import Poly, RatFunc
 from .scalars import GradedScalar, eval_theta_power
@@ -85,8 +85,10 @@ def suite_generators(q: int, N: int | None = None, *, checks: list) -> dict:
     if N is None:
         N = max(60, v * v + 2)  # E is read at u^(1 + (q-1)^2)
     top = v * (q * q - q + 1)
-    Ng = max(N, top + 2)
-    g = gen_g(ctx, Ng)
+    # g to O(u^(N+1)) at least, so that the derivation route to h reads
+    # its cut; that route also builds E to O(u^(N+1)) before E is read
+    g = gen_g(ctx, max(N + 1, top + 2))
+    h_derived = gen_h_derivation(ctx, N)
     one = GradedScalar.one(ctx.ring)
     br = GradedScalar.from_poly(ctx.D(1))
     _chk(checks, "g constant term = 1", g.series.coeff(0) == one)
@@ -105,8 +107,8 @@ def suite_generators(q: int, N: int | None = None, *, checks: list) -> dict:
     h = gen_h(ctx, N)
     _chk(checks, "h leading coefficient -1",
          h.series.val() == 1 and h.series.coeff(1) == -one)
-    _chk_same(checks, "h: derivation route == monic-indexed route", h.series,
-              gen_h_a_expansion(ctx, N).series)
+    _chk_same(checks, "h: derivation route == monic-indexed route",
+              h_derived.series, h.series)
     _chk_same(checks, "Delta == -h^(q-1)", gen_Delta(ctx, N).series,
               -(h.series ** (q - 1)))
     return _report("generators", q, N, checks)
@@ -202,9 +204,11 @@ def suite_hecke_eigen(q: int, N: int | None = None, primes=None,
     dmax = max(len(p) - 1 for p in primes)
     if N is None:
         N = q * q ** dmax + q * q + 2
+    # the Legendre pair builds E1 and h to O(u^(q(N+2))); asked first, the
+    # E1 and h to O(u^N) are its cuts
+    fstar, _, _ = legendre_fstar(ctx, N)
     e1 = eis1(ctx, N)
     eqf = eis_q(ctx, N)
-    fstar, _, _ = legendre_fstar(ctx, N)
     hf = fstar.mul_classical(gen_h(ctx, N))
     for p in primes:
         ppol = ctx.apoly(p)
@@ -224,13 +228,14 @@ def suite_hecke_mult_tau(q: int, N: int | None = None,
     ctx = Context(q)
     p1 = prime_theta(ctx)
     p2 = prime_theta_plus(ctx, 1)
+    # first: the Legendre pair's E1 to O(u^(q(N+2))) serves E1 to O(u^N)
+    fstar, _, _ = legendre_fstar(ctx, N)
     e1 = eis1(ctx, N)
     both = hecke(ctx, p1, hecke(ctx, p2, e1))
     swap = hecke(ctx, p2, hecke(ctx, p1, e1))
     _chk_same(checks, "T_p T_q E1 = pq E1", both,
               e1.scale(GradedScalar.from_poly(ctx.apoly(p1) * ctx.apoly(p2))))
     _chk_same(checks, "T_p T_q = T_q T_p on E1", both, swap)
-    fstar, _, _ = legendre_fstar(ctx, N)
     hf = fstar.mul_classical(gen_h(ctx, N))
     for name, H in (("E1", e1), ("hF*", hf)):
         _chk_same(checks, f"tau T_p = T_p tau on {name}",

@@ -202,7 +202,7 @@ def eis1(ctx: Context, N: int) -> VMForm:
         h3 = USeries.const(ctx, lambda_1(ctx), N) + chi
         return VMForm(ctx, 1, 0, h1, h3, regular=True, lam=lambda_1(ctx))
 
-    return ctx.memo(("eis1", N), build)
+    return ctx.memo_upto("eis1", N, build)
 
 
 def eis_q(ctx: Context, N: int) -> VMForm:
@@ -218,7 +218,7 @@ def eis_q(ctx: Context, N: int) -> VMForm:
               + mid.scale(tau_omega_inv(ctx)))
         return VMForm(ctx, q, 0, h1, h3, regular=True, lam=lambda_q(ctx))
 
-    return ctx.memo(("eis_q", N), build)
+    return ctx.memo_upto("eis_q", N, build)
 
 
 def tau_vmf(H: VMForm) -> VMForm:
@@ -379,7 +379,7 @@ def eis_k(ctx: Context, k: int, N: int) -> VMForm:
         return VMForm(ctx, k, 0, h1.truncate(N), h3.truncate(N), regular=True,
                       lam=lam)
 
-    return ctx.memo(("eis_k", k, N), build)
+    return ctx.memo_upto(("eis_k", k), N, build)
 
 
 def extract_lambda(ctx: Context, k: int, h3: USeries, chi: USeries, N: int):

@@ -4,7 +4,7 @@ from carlitz_vmf.errors import (NotInSpanError, NotIrreducibleError,
                                 PrecisionError)
 from carlitz_vmf.forms import (ClassicalForm, a_expansion, express_in_gh,
                                gen_Delta, gen_E, gen_fs, gen_g, gen_goss_eis,
-                               gen_h, gen_h_a_expansion, gh_monomials,
+                               gen_h, gen_h_derivation, gh_monomials,
                                level_Ep, para_eisenstein,
                                ramanujan_serre, w_involution_check)
 from carlitz_vmf.polys import RatFunc
@@ -40,7 +40,8 @@ def test_h_leading_and_both_routes(ctx):
     h = gen_h(ctx, N)
     assert h.series.val() == 1
     assert h.series.coeff(1) == GradedScalar.from_int(ctx.ring, -1)
-    h2 = gen_h_a_expansion(ctx, N)
+    h2 = gen_h_derivation(ctx, N)
+    assert h2.series.prec == h.series.prec == N
     assert h.series.eq_to_prec(h2.series)
     # the displayed second term -u(1 + v^(q-1) + ...)
     e = 1 + (ctx.q - 1) ** 2

@@ -3,8 +3,10 @@ import functools
 import pytest
 
 from carlitz_vmf import specialize
+from carlitz_vmf.context import Context
 from carlitz_vmf.errors import NotIrreducibleError
-from carlitz_vmf.forms import gen_h
+from carlitz_vmf.fields import PolyExtField
+from carlitz_vmf.forms import gen_E, gen_h
 from carlitz_vmf.scalars import GradedScalar
 from carlitz_vmf.useries import USeries, u_scale
 from carlitz_vmf.vmf import eis1, eis_q, legendre_fstar
@@ -242,3 +244,68 @@ def _divides(ctx, d, a):
         while a and a[-1] == base.zero:
             a.pop()
     return all(x == base.zero for x in a)
+
+
+# -- the F_(q^d) context borrows u(a z) and E from its F_q parent ----------
+
+
+BORROW_N = {2: 12, 3: 12, 4: 20}  # every case reaches a monic of degree 2
+
+
+def _orphan(rc):
+    """A context over the residue field of rc with no F_q parent: it
+    solves every u(a z) and sums E over F_(q^d) itself."""
+    field = PolyExtField(rc.ctx.base_field, rc.p, name="zeta")
+    return Context(rc.ctx.q, coeff_field=field)
+
+
+def _borrowed_equals_solved(sctx, orphan, N):
+    same = [u_scale(sctx, a, N).c == u_scale(orphan, a, N).c
+            for a in sctx.monics_below(N)]
+    E, E0 = gen_E(sctx, N).series, gen_E(orphan, N).series
+    return all(same) and E.c == E0.c and E.prec == E0.prec == N
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_borrowed_series_equal_a_solve_over_the_residue_field(q):
+    ctx = Context(q)
+    N = BORROW_N[q]
+    for d in (1, 2):
+        p = next(p for p in enumerate_primes(ctx, 2) if len(p) == d + 1)
+        rc = RootContext(ctx, p)
+        orphan = _orphan(rc)
+        assert rc.spec_ctx.parent is ctx and orphan.parent is None
+        assert _borrowed_equals_solved(rc.spec_ctx, orphan, N)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_conjugate_root_contexts_share_one_solve_per_monic(monkeypatch, q):
+    """congruence_check on every conjugate root of every prime of degree
+    <= 2 inverts each monic's Carlitz series once, over F_q."""
+    solved = []
+    inverse = USeries.inverse
+
+    def counted(self, *args):
+        solved.append(self.ctx)
+        return inverse(self, *args)
+
+    monkeypatch.setattr(USeries, "inverse", counted)
+    ctx = Context(q)
+    N = BORROW_N[q]
+    for p in enumerate_primes(ctx, 2):
+        for rc in RootContext(ctx, p).conjugates():
+            assert congruence_check(rc, N)["ok"]
+    assert len(solved) == sum(1 for a in ctx.monics_below(N) if len(a) > 1)
+    assert all(c is ctx for c in solved)
+
+
+def test_a_frobenius_twisted_embedding_is_caught():
+    """The equality above fails for an embedding composed with x -> x^p.
+    Over F_4 that moves the coefficients outside F_2; over F_2 and F_3 it
+    is the identity on F_q, so only q = 4 can show it."""
+    ctx = Context(4)
+    rc = RootContext(ctx, theta(ctx))
+    sctx, orphan = rc.spec_ctx, _orphan(rc)
+    embed, field = sctx.embed, sctx.coeff_field
+    sctx.embed = lambda x: field.frobenius(embed(x))
+    assert not _borrowed_equals_solved(sctx, orphan, BORROW_N[4])
