@@ -3,10 +3,12 @@
 A `Context` fixes q = p^e and the coefficient field of the series
 engine.  The structure constants (monic enumeration, Carlitz data) always
 live over F_q; specializations at roots of unity reuse the same machinery
-with the coefficient field enlarged to F_{q^d}.  Such a context records
+with the coefficient field enlarged to a coded F_{q^d}
+(``fields.residue_field``), in which an element of F_q keeps its code, so
+a tuple over F_q is read over F_{q^d} as it is.  Such a context records
 the F_q context it extends as ``parent``, and the F_q-rational series
-(``u_scale``'s u(a z) and ``gen_E``'s E) are built once there and read
-over F_{q^d} through ``embed``.
+(``u_scale``'s u(a z) and ``gen_E``'s E) are built once there and only
+re-ringed over F_{q^d}.
 
 Two caches sit on a context.  ``memo(key, build)`` keeps one value per
 key.  ``memo_upto(key, N, build)`` keeps one value per key for the
@@ -50,12 +52,9 @@ class Context:
                                    parent.coeff_field != parent.base_field):
             raise ValueError("a parent context must be F_q itself")
         self.parent = parent
-        if self.coeff_field == self.base_field:
-            self.embed = lambda x: x
-        else:
-            if self.coeff_field.base != self.base_field:
-                raise ValueError("coefficient field must extend F_q directly")
-            self.embed = self.coeff_field.embed
+        if (self.coeff_field != self.base_field
+                and self.coeff_field.base != self.base_field):
+            raise ValueError("coefficient field must extend F_q directly")
 
     def __repr__(self):
         tag = f"q={self.q}"
@@ -99,11 +98,11 @@ class Context:
 
     def apoly(self, a) -> Poly:
         """theta-polynomial of a coefficient tuple over F_q."""
-        return self.ring.theta_poly([self.embed(c) for c in a])
+        return self.ring.theta_poly(a)
 
     def chi(self, a) -> Poly:
         """The character value: same coefficients read in the variable t."""
-        return self.ring.t_poly([self.embed(c) for c in a])
+        return self.ring.t_poly(a)
 
     def monics(self, d: int):
         """Monic elements of degree d as little-endian coefficient tuples,
@@ -183,9 +182,8 @@ class Context:
                 if c == self.base_field.zero:
                     continue
                 row = self.carlitz_theta_power(i)
-                ce = self.embed(c)
                 for jj, p in enumerate(row):
-                    out[jj] = out[jj] + p.scale(ce)
+                    out[jj] = out[jj] + p.scale(c)
             return tuple(out)
 
         return self.memo(("Ca", a), build)

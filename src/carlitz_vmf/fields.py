@@ -1,27 +1,33 @@
 """Finite fields F_q = F_{p^e} and finite extensions of them.
 
-Prime-field elements are plain ints in ``{0, ..., p-1}``.  F_{p^e} for
-e > 1 is always built on the Conway polynomial for (p, e), so element
-encodings are stable across runs and machines.  Its element with
-little-endian F_p digits (d_0, ..., d_(e-1)) is the int code
-c = sum_k d_k p^k: code 0 is zero, code 1 is one and code p is the
-generator x.  These fields have at most 49 elements, so ``GF`` tabulates
-them once: ``add``, ``sub`` and ``mul`` over all pairs, ``neg`` and
-``inv`` over all elements, as lists indexed by code, each entry filled by
-the schoolbook operation on digit tuples that it replaces.  The five
-operations are then list lookups, and ``Poly`` reads the same tables
-inline.
+Every field that polynomials are computed over is *coded*: an element is
+an int code, and the five operations are tables indexed by code,
+``add_table``, ``sub_table`` and ``mul_table`` by rows, ``neg_table`` and
+``inv_table`` by entries, which ``Poly`` reads inline.  F_p codes its
+elements {0, ..., p-1} by themselves.  An extension base[y]/(P) of degree
+d over a coded base codes the element with little-endian coordinates
+(t_0, ..., t_(d-1)) over the base as c = sum_k t_k n^k, n = |base|, and
+``decode`` takes c back apart by ``divmod``.  So code 0 is zero, code 1
+is one, and an element of the base has the same code in every extension
+built over it: reading a series over F_q as one over F_{q^d} maps no
+coefficient.
 
-Other extensions (the residue fields F_q[y]/(P(y)) on a user-supplied
-irreducible, Rabin's quotient rings in ``Context.is_irreducible``) keep
-their modulus and stay untabulated: their elements are little-endian
-tuples over the base field (of base codes when the base is a Conway
-field), and their operations are the schoolbook ones.
+F_{p^e} for e > 1 is always built on the Conway polynomial for (p, e), so
+codes are stable across runs and machines.  ``GF`` fills the tables of
+these fields (at most 49 elements) and of F_p, p <= 257, as lists up
+front; a larger F_p computes each entry on lookup and stores none.
+``residue_field`` builds the residue fields F_q[y]/(P) of a
+user-supplied irreducible P once per (F_q, P) and fills each table entry
+on first use.  Every entry of an extension's table is the schoolbook
+operation on coordinate tuples that it replaces, which an uncoded
+``PolyExtField`` computes from its base's tables: that field stays the
+filler, the reference of the tests, and the quotient ring of Rabin's test
+in ``Context.is_irreducible``.
 
 Digits, digit strings and the order of ``elements()`` are those of the
-digit tuples, and ``show`` prints an element as the str() of its digit
-tuple, so serialized artifacts, check names and messages do not depend
-on the encoding.
+coordinate tuples, and ``show`` prints an element as the str() of its
+nested digit tuple, so serialized artifacts, check names and messages do
+not depend on the encoding.
 """
 
 from __future__ import annotations
@@ -56,8 +62,88 @@ def is_prime(n: int) -> bool:
     return True
 
 
+class _Filled(dict):
+    """A table indexed by code whose entry for a is ``fn(a)``, computed on
+    first use and kept."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, a):
+        v = self[a] = self.fn(a)
+        return v
+
+
+class _Row:
+    """Row a of an operation table of F_p whose entry b is computed on each
+    lookup and never stored; a subclass names the operation."""
+
+    __slots__ = ("a", "p")
+
+    def __init__(self, a, p):
+        self.a, self.p = a, p
+
+
+class _AddRow(_Row):
+    __slots__ = ()
+
+    def __getitem__(self, b):
+        return (self.a + b) % self.p
+
+
+class _SubRow(_Row):
+    __slots__ = ()
+
+    def __getitem__(self, b):
+        return (self.a - b) % self.p
+
+
+class _MulRow(_Row):
+    __slots__ = ()
+
+    def __getitem__(self, b):
+        return self.a * b % self.p
+
+
+class _PowRow(_Row):
+    """b -> b^a; at a = p - 2 the inverse of a nonzero b."""
+
+    __slots__ = ()
+
+    def __getitem__(self, b):
+        return pow(b, self.a, self.p)
+
+
+def _tabulate(field, rows, neg, inv, fill_now: bool):
+    """Set the five operation tables of ``field`` from functions on codes:
+    ``rows`` for add, sub and mul, each taking a to the function b -> a op b,
+    then neg and inv.  Filled now the tables are lists; otherwise each
+    entry is filled on first use."""
+    if fill_now:
+        codes = range(field.order)
+        field.add_table, field.sub_table, field.mul_table = (
+            [list(map(row(a), codes)) for a in codes] for row in rows)
+        field.neg_table = [neg(a) for a in codes]
+        field.inv_table = [None] + [inv(a) for a in codes[1:]]
+    else:
+        field.add_table, field.sub_table, field.mul_table = (
+            _Filled(lambda a, row=row: _Filled(row(a))) for row in rows)
+        field.neg_table, field.inv_table = _Filled(neg), _Filled(inv)
+
+
+# F_p lists its tables while every entry, an int below p, is one of
+# CPython's shared small ints (at most 256): the three p^2 tables then hold
+# only pointers, 1.6 MB filled in about 30 ms at p = 257.  A larger F_p
+# would keep an int object per entry (18 MB and 0.15 s at p = 509, 97 MB
+# and 0.5 s at p = 1021), so it computes each entry on lookup (``_Row``).
+_LISTED_UP_TO = 257
+
+
 class PrimeField:
-    """F_p with int elements."""
+    """F_p with int elements, each its own code."""
 
     def __init__(self, p: int):
         if not is_prime(p):
@@ -68,8 +154,17 @@ class PrimeField:
         self.zero = 0
         self.one = 1
         self.char = p
-        self.int_elements = True  # elements are plain ints mod p
-        self.coded = False  # ints mod p, not codes into operation tables
+        self.coded = True
+        if p <= _LISTED_UP_TO:
+            rows = [functools.partial(functools.partial, op)
+                    for op in (self.add, self.sub, self.mul)]
+            _tabulate(self, rows, self.neg, self.inv, fill_now=True)
+        else:
+            # a row per left operand, made on first use: at most p rows
+            self.add_table, self.sub_table, self.mul_table = (
+                _Filled(functools.partial(row, p=p))
+                for row in (_AddRow, _SubRow, _MulRow))
+            self.neg_table, self.inv_table = _SubRow(0, p), _PowRow(p - 2, p)
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -123,11 +218,13 @@ class PrimeField:
 
 
 class PolyExtField:
-    """base[y]/(modulus), elements as little-endian tuples over base, or
-    as int codes once ``_code`` has tabulated a field over F_p.
+    """base[y]/(modulus) over a coded base, elements as little-endian
+    tuples of base codes, or as int codes once ``_code`` has tabulated the
+    field.
 
     ``modulus`` is a monic coefficient tuple of length degree+1 over the
-    base field.  ``add``/``mul``/``pow`` are the ring operations of
+    base field.  The schoolbook operations on tuples read the base's
+    tables.  ``add``/``mul``/``pow`` are the ring operations of
     base[y]/(modulus) and hold for any monic modulus; only ``inv`` (and a
     negative ``pow``) needs the modulus irreducible.  That is the caller's
     responsibility (checked for the Conway table; user-supplied moduli
@@ -135,6 +232,8 @@ class PolyExtField:
     """
 
     def __init__(self, base, modulus, name="y"):
+        if not base.coded:
+            raise ValueError(f"the base field {base!r} is not coded")
         self.base = base
         self.modulus = tuple(modulus)
         self.deg = len(self.modulus) - 1
@@ -147,7 +246,6 @@ class PolyExtField:
         self.order = base.order ** self.deg
         self.char = base.char
         self.name = name
-        self.int_elements = False
         self.zero = tuple([base.zero] * self.deg)
         self.one = tuple([base.one] + [base.zero] * (self.deg - 1))
         # y^(deg+k) reduced, for k = 0..deg-2 (enough for products)
@@ -157,23 +255,39 @@ class PolyExtField:
         self.add_table = self.sub_table = self.mul_table = None
         self.neg_table = self.inv_table = None
 
-    def _code(self):
-        """Switch a field over F_p to int codes: the tuple t becomes
-        sum_k t[k] p^k, and each operation a list indexed by code whose
-        entries are the schoolbook operations on tuples."""
-        p = self.p
-        tuples = list(self.elements())
-        code = {t: sum(d * p ** k for k, d in enumerate(t)) for t in tuples}
-        by_code = sorted(tuples, key=code.get)
-        tables = [[[code[op(a, b)] for b in by_code] for a in by_code]
-                  for op in (self.add, self.sub, self.mul)]
-        neg = [code[self.neg(a)] for a in by_code]
-        inv = [None] + [code[self.inv(a)] for a in by_code[1:]]
-        self._elements = [code[t] for t in tuples]
-        self._digits = by_code
-        self.add_table, self.sub_table, self.mul_table = tables
-        self.neg_table, self.inv_table = neg, inv
+    def _code(self, fill_now: bool):
+        """Switch a field over a coded base to int codes: the tuple t
+        becomes sum_k t[k] |base|^k, and each operation a table indexed by
+        code whose entries are the schoolbook operations on tuples, filled
+        now or on first use."""
+        school = PolyExtField(self.base, self.modulus, self.name)
+        enc, dec = self.encode, self.decode
+
+        def rows(op):
+            def row(a):
+                t = dec(a)
+                return lambda b: enc(op(t, dec(b)))
+            return row
+
+        _tabulate(self, [rows(school.add), rows(school.sub), rows(school.mul)],
+                  lambda a: enc(school.neg(dec(a))),
+                  lambda a: enc(school.inv(dec(a))), fill_now)
         self.zero, self.one, self.coded = 0, 1, True
+
+    def encode(self, t):
+        """The code of the coordinate tuple t over the base."""
+        n, c = self.base.order, 0
+        for x in reversed(t):
+            c = c * n + x
+        return c
+
+    def decode(self, c):
+        """The coordinate tuple over the base of the code c."""
+        n, out = self.base.order, []
+        for _ in range(self.deg):
+            c, x = divmod(c, n)
+            out.append(x)
+        return tuple(out)
 
     def _reduction_table(self):
         b, d = self.base, self.deg
@@ -188,47 +302,47 @@ class PolyExtField:
         return table
 
     def gen(self):
-        if self.coded:
-            return self.p
         d = self.deg
         if d == 1:
-            return self._red[0]
-        return tuple([self.base.zero, self.base.one] + [self.base.zero] * (d - 2))
+            g = self._red[0]
+        else:
+            g = tuple([self.base.zero, self.base.one] + [self.base.zero] * (d - 2))
+        return self.encode(g) if self.coded else g
 
     def add(self, a, b):
         if self.coded:
             return self.add_table[a][b]
-        return tuple(self.base.add(x, y) for x, y in zip(a, b))
+        add = self.base.add_table
+        return tuple(add[x][y] for x, y in zip(a, b))
 
     def sub(self, a, b):
         if self.coded:
             return self.sub_table[a][b]
-        return tuple(self.base.sub(x, y) for x, y in zip(a, b))
+        sub = self.base.sub_table
+        return tuple(sub[x][y] for x, y in zip(a, b))
 
     def neg(self, a):
         if self.coded:
             return self.neg_table[a]
-        return tuple(self.base.neg(x) for x in a)
+        neg = self.base.neg_table
+        return tuple(neg[x] for x in a)
 
     def mul(self, a, b):
         if self.coded:
             return self.mul_table[a][b]
-        base, d = self.base, self.deg
-        prod = [base.zero] * (2 * d - 1)
+        add, mul, d = self.base.add_table, self.base.mul_table, self.deg
+        prod = [0] * (2 * d - 1)
         for i, x in enumerate(a):
-            if x == base.zero:
-                continue
-            for j, y in enumerate(b):
-                if y == base.zero:
-                    continue
-                prod[i + j] = base.add(prod[i + j], base.mul(x, y))
+            if x:
+                row = mul[x]
+                for j, y in enumerate(b):
+                    if y:
+                        prod[i + j] = add[prod[i + j]][row[y]]
         out = prod[:d]
         for k in range(d, 2 * d - 1):
-            c = prod[k]
-            if c == base.zero:
-                continue
-            row = self._red[k - d]
-            out = [base.add(out[i], base.mul(c, row[i])) for i in range(d)]
+            if prod[k]:
+                row = mul[prod[k]]
+                out = [add[o][row[r]] for o, r in zip(out, self._red[k - d])]
         return tuple(out)
 
     def inv(self, a):
@@ -255,24 +369,20 @@ class PolyExtField:
     def frobenius(self, a, n: int = 1):
         return self.pow(a, self.char ** n)
 
-    def embed(self, a):
-        """Embed a base-field element."""
-        if self.coded:
-            return a
-        return tuple([a] + [self.base.zero] * (self.deg - 1))
-
     def from_int(self, n: int):
-        return self.embed(self.base.from_int(n))
+        c = self.base.from_int(n)
+        if self.coded:
+            return c
+        return tuple([c] + [self.base.zero] * (self.deg - 1))
 
     def elements(self):
-        """All elements, in the order of their digit tuples' product."""
-        if self.coded:
-            return iter(self._elements)
-        return itertools.product(self.base.elements(), repeat=self.deg)
+        """All elements, in the order of their coordinate tuples' product."""
+        tuples = itertools.product(self.base.elements(), repeat=self.deg)
+        return map(self.encode, tuples) if self.coded else tuples
 
     def digits(self, a):
         if self.coded:
-            return list(self._digits[a])
+            a = self.decode(a)
         out = []
         for x in a:
             out.extend(self.base.digits(x))
@@ -285,9 +395,7 @@ class PolyExtField:
         t = tuple(
             self.base.from_digits(list(ds[i * k : (i + 1) * k])) for i in range(self.deg)
         )
-        if self.coded:
-            return sum(d * self.p ** i for i, d in enumerate(t))
-        return t
+        return self.encode(t) if self.coded else t
 
     def __eq__(self, other):
         return (
@@ -305,13 +413,12 @@ class PolyExtField:
 
 
 def _digit_tuple(field, x):
-    """x as nested tuples of F_p digits: an int of F_p as it is, a coded
-    element as its digit tuple, any other element as the tuple of its
-    coordinates over the base."""
-    if field.int_elements:
+    """x as nested tuples of F_p digits: an element of F_p as it is, any
+    other element as the tuple of its coordinates over the base."""
+    if isinstance(field, PrimeField):
         return x
     if field.coded:
-        return field._digits[x]
+        x = field.decode(x)
     return tuple(_digit_tuple(field.base, c) for c in x)
 
 
@@ -329,13 +436,23 @@ def show_tuple(field, a) -> str:
 
 @functools.cache
 def GF(p: int, e: int = 1):
-    """The field F_{p^e} on its Conway polynomial."""
+    """The field F_{p^e} on its Conway polynomial, coded."""
     if e == 1:
         return PrimeField(p)
     if (p, e) not in _CONWAY:
         raise ValueError(f"no Conway polynomial stored for ({p}, {e})")
-    field = PolyExtField(PrimeField(p), _CONWAY[(p, e)], name="x")
-    field._code()
+    field = PolyExtField(GF(p), _CONWAY[(p, e)], name="x")
+    field._code(fill_now=True)
+    return field
+
+
+@functools.cache
+def residue_field(base, modulus):
+    """The coded field base[y]/(modulus) for a coded base and a monic
+    irreducible modulus tuple, one per (base, modulus): its tables fill on
+    first use and are shared by every caller."""
+    field = PolyExtField(base, modulus, name="zeta")
+    field._code(fill_now=False)
     return field
 
 

@@ -7,12 +7,12 @@ order everywhere is graded lexicographic with theta > t, i.e. compare
 ``num/den`` with gcd(num, den) = 1 and den monic for that order, so
 equality is literal dictionary equality.
 
-Coefficients are field elements as the field holds them: ints mod p over
-a prime field (products and Euclid reduce mod p inline); int codes over a
-Conway field F_{p^e}, whose add, sub, mul, neg and inv tables the
-arithmetic reads inline; tuples over a residue field, through the
-field's methods.  ``repr`` prints a coefficient as ``fields.show`` does,
-as its digit tuple whatever the encoding.
+Coefficients are the int codes of a coded field (``fields``): 0 is zero
+and 1 is one, and every sum, product, negation and inverse is a lookup in
+the field's add, sub, mul, neg and inv tables, one path for F_p, the
+Conway fields and the residue fields alike; ``PolyRing`` refuses a field
+that is not coded.  ``repr`` prints a coefficient as ``fields.show``
+does, as its digit tuple.
 
 Normalizing a fraction takes gcds, and the fraction operations take as
 few and as small ones as they can.  A sum over different denominators d1,
@@ -48,6 +48,10 @@ class PolyRing:
     """Polynomials over ``field`` in theta and t."""
 
     def __init__(self, field):
+        if not field.coded:
+            raise ValueError(
+                f"{field!r} on modulus {field.modulus} holds tuples, not int "
+                "codes: build a coded extension with fields.residue_field")
         self.field = field
         self.zero = Poly(self, {})
         self.one = Poly(self, {(0, 0): field.one})
@@ -149,99 +153,58 @@ class Poly:
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other):
-        f = self.ring.field
         out = dict(self.c)
-        get = out.get
-        if f.coded:
-            # a sum is 0 only where k is set
-            add = f.add_table
-            for k, v in other.c.items():
-                s = add[get(k, 0)][v]
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-            return Poly(self.ring, out)
+        get, add = out.get, self.ring.field.add_table
+        # a sum is 0 only where k is set
         for k, v in other.c.items():
-            s = f.add(get(k, f.zero), v)
-            if s == f.zero:
-                out.pop(k, None)
-            else:
+            s = add[get(k, 0)][v]
+            if s:
                 out[k] = s
+            else:
+                del out[k]
         return Poly(self.ring, out)
 
     def __neg__(self):
-        f = self.ring.field
-        if f.coded:
-            neg = f.neg_table
-            return Poly(self.ring, {k: neg[v] for k, v in self.c.items()})
-        return Poly(self.ring, {k: f.neg(v) for k, v in self.c.items()})
+        neg = self.ring.field.neg_table
+        return Poly(self.ring, {k: neg[v] for k, v in self.c.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        f = self.ring.field
         if not self.c or not other.c:
             return self.ring.zero
+        f = self.ring.field
         if len(self.c) == 1:
             ((i0, j0), v0), = self.c.items()
-            if v0 == f.one:
+            if v0 == 1:
                 return Poly(self.ring,
                             {(i + i0, j + j0): v for (i, j), v in other.c.items()})
-            if f.coded:
-                row = f.mul_table[v0]
-                return Poly(self.ring, {(i + i0, j + j0): row[v]
-                                        for (i, j), v in other.c.items()})
-            return Poly(self.ring, {(i + i0, j + j0): f.mul(v, v0)
+            row = f.mul_table[v0]
+            return Poly(self.ring, {(i + i0, j + j0): row[v]
                                     for (i, j), v in other.c.items()})
         if len(other.c) == 1:
             return other * self
         out = {}
-        if f.int_elements:
-            p = f.p
-            for (i1, j1), v1 in self.c.items():
-                for (i2, j2), v2 in other.c.items():
-                    k = (i1 + i2, j1 + j2)
-                    s = (out.get(k, 0) + v1 * v2) % p
-                    if s:
-                        out[k] = s
-                    else:
-                        out.pop(k, None)
-            return Poly(self.ring, out)
         get, other_items = out.get, other.c.items()
-        if f.coded:
-            # one table row per term of self; a sum is 0 only where k is set
-            add, mul = f.add_table, f.mul_table
-            for (i1, j1), v1 in self.c.items():
-                row = mul[v1]
-                for (i2, j2), v2 in other_items:
-                    k = (i1 + i2, j1 + j2)
-                    s = add[get(k, 0)][row[v2]]
-                    if s:
-                        out[k] = s
-                    else:
-                        del out[k]
-            return Poly(self.ring, out)
-        add, mul, zero = f.add, f.mul, f.zero
+        # one table row per term of self; a sum is 0 only where k is set
+        add, mul = f.add_table, f.mul_table
         for (i1, j1), v1 in self.c.items():
+            row = mul[v1]
             for (i2, j2), v2 in other_items:
                 k = (i1 + i2, j1 + j2)
-                s = add(get(k, zero), mul(v1, v2))
-                if s == zero:
-                    out.pop(k, None)
-                else:
+                s = add[get(k, 0)][row[v2]]
+                if s:
                     out[k] = s
+                else:
+                    del out[k]
         return Poly(self.ring, out)
 
     def scale(self, c):
-        f = self.ring.field
-        if c == f.zero:
+        if not c:
             return self.ring.zero
-        if f.coded:
-            row = f.mul_table[c]
-            return Poly(self.ring, {k: row[v] for k, v in self.c.items()})
-        return Poly(self.ring, {k: f.mul(v, c) for k, v in self.c.items()})
+        row = self.ring.field.mul_table[c]
+        return Poly(self.ring, {k: row[v] for k, v in self.c.items()})
 
     def __pow__(self, n):
         if n < 0:
@@ -279,13 +242,8 @@ class Poly:
         heapq.heapify(heap)
         pop, push = heapq.heappop, heapq.heappush
         q = {}
-        coded = f.coded
-        if coded:
-            sub, mul = f.sub_table, f.mul_table
-            dinv, neg = f.inv_table[dc], f.neg_table
-        else:
-            zero, sub, mul = f.zero, f.sub, f.mul
-            dinv = f.inv(dc)
+        sub, mul = f.sub_table, f.mul_table
+        dinv, neg = f.inv_table[dc], f.neg_table
         while rem:
             s, ni = pop(heap)
             k = (-ni, ni - s)
@@ -295,36 +253,20 @@ class Poly:
             i, j = k[0] - di, k[1] - dj
             if i < 0 or j < 0:
                 raise ArithmeticError("division is not exact")
-            if coded:
-                coef = q[(i, j)] = mul[v][dinv]
-                row = mul[coef]
-                for (mi, mj), w in d_items:
-                    kk = (mi + i, mj + j)
-                    old = rem.get(kk)
-                    if old is None:
-                        rem[kk] = neg[row[w]]
-                        push(heap, (-kk[0] - kk[1], -kk[0]))
-                    else:
-                        r = sub[old][row[w]]
-                        if r:
-                            rem[kk] = r
-                        else:
-                            del rem[kk]
-                continue
-            coef = mul(v, dinv)
-            q[(i, j)] = coef
+            coef = q[(i, j)] = mul[v][dinv]
+            row = mul[coef]
             for (mi, mj), w in d_items:
                 kk = (mi + i, mj + j)
                 old = rem.get(kk)
                 if old is None:
-                    rem[kk] = sub(zero, mul(coef, w))
+                    rem[kk] = neg[row[w]]
                     push(heap, (-kk[0] - kk[1], -kk[0]))
                 else:
-                    r = sub(old, mul(coef, w))
-                    if r == zero:
-                        del rem[kk]
-                    else:
+                    r = sub[old][row[w]]
+                    if r:
                         rem[kk] = r
+                    else:
+                        del rem[kk]
         return Poly(self.ring, q)
 
     # -- substitutions ----------------------------------------------------
@@ -347,12 +289,13 @@ class Poly:
             out = out + spow(j).scale(v) * self.ring.monomial(self.ring.field.one, i, 0)
         return out
 
-    def subs_t_elt(self, ring2, elt, embed):
-        """t -> elt (a field element of ring2), coefficients through embed."""
+    def subs_t_elt(self, ring2, elt):
+        """t -> elt, an element of ring2's field, which is this ring's field
+        or an extension of it: a coefficient keeps its code there."""
         f2 = ring2.field
         out = {}
         for (i, j), v in self.c.items():
-            w = f2.mul(embed(v), f2.pow(elt, j)) if j else embed(v)
+            w = f2.mul(v, f2.pow(elt, j)) if j else v
             k = (i, 0)
             s = f2.add(out.get(k, f2.zero), w)
             if s == f2.zero:
@@ -454,10 +397,9 @@ def _lucas_binom(m, n, p):
 
 @functools.cache
 def _f2_packer(field):
-    """The ``_F2Packer`` of F_2 or of an extension of the prime field F_2
-    (coded or not), built on first use and kept; None for every other
-    field."""
-    if field.p == 2 and (field.int_elements or field.base.int_elements):
+    """The ``_F2Packer`` of F_2 or of an extension of the prime field F_2,
+    built on first use and kept; None for every other field."""
+    if field.p == 2 and (field.e == 1 or field.base.e == 1):
         return _F2Packer(field)
     return None
 
@@ -469,9 +411,7 @@ class _F2Packer:
     ``(j, r)``: the F_2 digits of the coefficient of theta^i t^j sit in bits
     [i e, i e + e) of the int r, so sums are XORs.  ``terms`` lists
     ``(i e, j, d)`` with d the element's digits read as an int: its code,
-    which is the element itself in F_2 and in a coded field.  Only an
-    untabulated extension of F_2 (a residue field at q = 2) maps its digit
-    tuples to codes and back.  ``multiples`` is filled when first needed:
+    which is the element itself.  ``multiples`` is filled when first needed:
     entry d holds the rows times the element of code d.  Multiplying rows
     by x moves every slot up one bit and folds the bits that leave a slot
     back in with the reduction row of x^e, so a product is XORs and shifts
@@ -479,29 +419,15 @@ class _F2Packer:
     """
 
     def __init__(self, field):
-        self.enc = self.dec = None
-        if field.int_elements:
-            self.e = 1
-        else:
-            e = self.e = field.deg
+        self.e = field.e
+        if self.e > 1:
             self.red = sum(b << k for k, b in enumerate(field._red[0]))
-            if not field.coded:
-                self.dec = [tuple((d >> k) & 1 for k in range(e))
-                            for d in range(1 << e)]
-                self.enc = {v: d for d, v in enumerate(self.dec)}
         self.bits = self.ones = self.low = 0
-
-    def code(self, v):
-        return v if self.enc is None else self.enc[v]
 
     def pack(self, poly):
         e = self.e
         rows, terms = {}, []
-        items = poly.c.items()
-        if self.enc is not None:
-            enc = self.enc
-            items = [(k, enc[v]) for k, v in items]
-        for (i, j), d in items:
+        for (i, j), d in poly.c.items():
             s = i * e
             rows[j] = rows.get(j, 0) | (d << s)
             terms.append((s, j, d))
@@ -512,13 +438,12 @@ class _F2Packer:
         e = self.e
         c, terms = {}, []
         if e == 1:
-            one = 1 if self.dec is None else self.dec[1]
             for j, r in rows:
                 v = r
                 while v:
                     low = v & -v
                     s = low.bit_length() - 1
-                    c[(s, j)] = one
+                    c[(s, j)] = 1
                     terms.append((s, j, 1))
                     v ^= low
         else:
@@ -532,9 +457,6 @@ class _F2Packer:
                     c[(s // e, j)] = d
                     terms.append((s, j, d))
                     v ^= d << s
-            if self.dec is not None:
-                dec = self.dec
-                c = {k: dec[d] for k, d in c.items()}
         return Poly(ring, c), [rows, terms, None]
 
     def _times_x(self, r):
@@ -599,59 +521,17 @@ def _from_univar(ring, coeffs, var):
     return Poly(ring, {(0, j): c for j, c in enumerate(coeffs) if c != f.zero})
 
 
-def _deg(u, n, zero=0):
+def _deg(u, n):
     """Degree of the coefficient list u, knowing u[n + 1:] is zero."""
-    while n >= 0 and u[n] == zero:
+    while n >= 0 and not u[n]:
         n -= 1
     return n
 
 
 def _univar_gcd(a, b, field):
-    """Monic gcd of two little-endian coefficient lists (Euclid)."""
-    if field.int_elements:
-        return _univar_gcd_prime(list(a), list(b), field.p)
-    if field.coded:
-        return _univar_gcd_coded(list(a), list(b), field)
-    zero, sub, mul = field.zero, field.sub, field.mul
+    """Monic gcd of two little-endian coefficient lists over a coded field
+    (Euclid, through its tables)."""
     a, b = list(a), list(b)
-    da, db = _deg(a, len(a) - 1, zero), _deg(b, len(b) - 1, zero)
-    while db >= 0:
-        if da < db:
-            a, b, da, db = b, a, db, da
-            continue
-        c = mul(a[da], field.inv(b[db]))
-        off = da - db
-        for i in range(db + 1):
-            if b[i] != zero:
-                a[off + i] = sub(a[off + i], mul(c, b[i]))
-        da = _deg(a, da - 1, zero)
-        if da < db:
-            a, b, da, db = b, a, db, da
-    inv = field.inv(a[da])
-    return [mul(x, inv) for x in a[: da + 1]]
-
-
-def _univar_gcd_prime(a, b, p):
-    """Euclid over F_p with plain int lists."""
-    da, db = _deg(a, len(a) - 1), _deg(b, len(b) - 1)
-    while db >= 0:
-        if da < db:
-            a, b, da, db = b, a, db, da
-            continue
-        c = a[da] * pow(b[db], p - 2, p) % p
-        off = da - db
-        for i in range(db + 1):
-            if b[i]:
-                a[off + i] = (a[off + i] - c * b[i]) % p
-        da = _deg(a, da - 1)
-        if da < db:
-            a, b, da, db = b, a, db, da
-    inv = pow(a[da], p - 2, p)
-    return [x * inv % p for x in a[: da + 1]]
-
-
-def _univar_gcd_coded(a, b, field):
-    """Euclid over a coded field, through its tables."""
     sub, mul, inv = field.sub_table, field.mul_table, field.inv_table
     da, db = _deg(a, len(a) - 1), _deg(b, len(b) - 1)
     while db >= 0:

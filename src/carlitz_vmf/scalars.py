@@ -260,13 +260,12 @@ def eval_root(x: GradedScalar, rctx) -> GradedScalar:
     """Specialize t at a root of unity; period grades stay opaque symbols."""
     ring2 = rctx.spec_ring
     zeta = rctx.zeta_power
-    embed = rctx.embed
     out = {}
     for (a, b), c in x.terms.items():
-        den = c.den.subs_t_elt(ring2, zeta, embed)
+        den = c.den.subs_t_elt(ring2, zeta)
         if den.is_zero():
             raise EvaluationPoleError("denominator vanishes at the chosen root")
-        num = c.num.subs_t_elt(ring2, zeta, embed)
+        num = c.num.subs_t_elt(ring2, zeta)
         v = RatFunc(num, den)
         if not v.is_zero():
             out[(a, b)] = v

@@ -4,10 +4,13 @@ A `RootContext` fixes a monic prime p of degree d, the residue field
 F_{q^d} = F_q[y]/(p(y)), a chosen conjugate zeta^(q^l) of the root, and a
 twin arithmetic context whose coefficient field is F_{q^d} so the series
 machinery (argument scaling, coset traces, monic sums) can run on the
-specialized side unchanged.  The twin records the F_q context as its
-parent and borrows the F_q-rational series from it: u(a z) and E are
-built once over F_q, for all the root contexts of that parent, and read
-over F_{q^d} through the embedding.
+specialized side unchanged.  The residue field is the coded
+``fields.residue_field`` of (F_q, p), one per prime, so the conjugate
+root contexts of p share its operation tables, and an element of F_q has
+the same code in it.  The twin records the F_q context as its parent and
+borrows the F_q-rational series from it: u(a z) and E are built once
+over F_q, for all the root contexts of that parent, and re-ringed over
+F_{q^d} with no coefficient map.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 from .context import Context
 from .errors import (CarlitzVMFError, NotInSpanError, NotIrreducibleError,
                      PrecisionError)
-from .fields import PolyExtField, show_tuple
+from .fields import residue_field, show_tuple
 from .forms import ClassicalForm, a_expansion, express_in_gh, gen_E
 from .polys import Poly, RatFunc
 from .scalars import GradedScalar
@@ -34,12 +37,11 @@ class RootContext:
         if not 0 <= frobenius_power < self.degree:
             raise ValueError("frobenius power out of range")
         self.frobenius_power = frobenius_power
-        self.field = PolyExtField(ctx.base_field, self.p, name="zeta")
+        self.field = residue_field(ctx.base_field, self.p)
         self.zeta = self.field.gen()
         self.zeta_power = self.field.pow(self.zeta, ctx.q ** frobenius_power)
         self.spec_ctx = Context(q=ctx.q, coeff_field=self.field, parent=ctx)
         self.spec_ring = self.spec_ctx.ring
-        self.embed = self.field.embed
         self.character_exponent = ctx.q ** frobenius_power
 
     def conjugates(self):
@@ -120,7 +122,7 @@ def eval_theta_power_vmf(H: VMForm, j: int):
 def _a_of_zeta(rctx: RootContext, a) -> Poly:
     """a(zeta) for a monic a over the enlarged field."""
     sctx = rctx.spec_ctx
-    return sctx.chi(a).subs_t_elt(sctx.ring, rctx.zeta_power, lambda x: x)
+    return sctx.chi(a).subs_t_elt(sctx.ring, rctx.zeta_power)
 
 
 def congruence_check(rctx: RootContext, N: int) -> dict:
@@ -222,8 +224,7 @@ def hecke_compat_check(H: VMForm, p, rctx: RootContext, n: int) -> dict:
             c = pk * cj
             if spec:
                 f = ev(f)
-                c = sctx.apoly(p) ** k * cj.subs_t_elt(sctx.ring, rctx.zeta_power,
-                                                       rctx.embed)
+                c = sctx.apoly(p) ** k * cj.subs_t_elt(sctx.ring, rctx.zeta_power)
             acc = acc + scale_arg(f, p, P).scale(GradedScalar.from_poly(c))
         return acc
 
@@ -287,7 +288,7 @@ def phi_rep(ctx: Context, n: int, a, rctx: RootContext | None = None):
             if x is None:
                 new.append(rctx.field.zero)
             else:
-                p2 = x.subs_t_elt(rctx.spec_ring, rctx.zeta_power, rctx.embed)
+                p2 = x.subs_t_elt(rctx.spec_ring, rctx.zeta_power)
                 if p2.deg_theta() > 0:
                     raise CarlitzVMFError("character value must be theta-free")
                 new.append(p2.coeff(0, 0))

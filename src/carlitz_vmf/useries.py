@@ -18,7 +18,9 @@ exponent across all terms, and one ``Poly`` is built per output
 coefficient.  The recurrence of ``USeries.inverse`` packs the same way
 when, in addition, the lowest coefficient is a constant.  Odd
 characteristic, a denominator, mixed grades or a tower over F_4 stay on
-the schoolbook loops; both give the same coefficients.
+the schoolbook loops; both give the same coefficients.  The packed codec
+reads a coefficient's code as its F_2 digits, which it is in every
+extension of F_2.
 
 ``goss_series`` takes G_k(u(a z)) with no series product.  u(a z) =
 u^Q Y with Y = 1 / P_a, P_a = sum_i [a]_i u^(Q - q^i) sparse, and in
@@ -29,7 +31,9 @@ unit of the base-p digits of e; a division is the sparse recurrence of
 ``inverse`` (``_solve``, packed over F_2 and F_{2^e} by
 ``_packed_solve``).  Both u(a z) and each Y^e are kept per context at
 their highest precision (``Context.memo_upto``), and a context over
-F_{q^d} reads u(a z) from its F_q parent (``embed_series``).
+F_{q^d} reads u(a z) from its F_q parent (``embed_series``): an element
+of F_q has the same code in F_{q^d}, so each polynomial is only
+re-ringed.
 """
 
 from __future__ import annotations
@@ -496,7 +500,7 @@ def _packed_inverse(lead: GradedScalar, f: list, lead_inv: GradedScalar,
     ((grade, c0),) = lead_inv.terms.items()
     fp = [(k, packer.pack(s.terms[g].num)) for k, s in f]
     y = _packed_solve(packer, ring, {0: packer.pack(ring.one)}, fp,
-                      packer.code(c0.num.coeff(0, 0)), rel_prec)
+                      c0.num.coeff(0, 0), rel_prec)
     return {n: GradedScalar(ring, {grade: RatFunc(p, None, reduce=False)})
             for n, (p, _) in y.items()}
 
@@ -547,17 +551,14 @@ def u_scale(ctx: Context, a, prec: int) -> USeries:
 
 def embed_series(ctx: Context, f: USeries) -> USeries:
     """A series over the F_q context ``ctx.parent`` read over ctx's field
-    F_{q^d}: every field element through ``ctx.embed``.  Each fraction
-    keeps its form with no gcd, since a gcd over F_q is one over F_{q^d}
-    and a denominator whose lead is 1 keeps that lead."""
-    ring, embed = ctx.ring, ctx.embed
-
-    def poly(p):
-        return Poly(ring, {k: embed(v) for k, v in p.c.items()})
-
+    F_{q^d}.  An element of F_q has the same code in F_{q^d}, so each
+    polynomial keeps its coefficients and only changes ring.  Each
+    fraction keeps its form with no gcd, since a gcd over F_q is one over
+    F_{q^d} and a denominator whose lead is 1 keeps that lead."""
+    ring = ctx.ring
     return USeries(ctx, {
-        n: GradedScalar(ring, {g: RatFunc(poly(r.num), poly(r.den),
-                                          reduce=False)
+        n: GradedScalar(ring, {g: RatFunc(Poly(ring, r.num.c),
+                                          Poly(ring, r.den.c), reduce=False)
                                for g, r in c.terms.items()})
         for n, c in f.c.items()}, f.prec)
 

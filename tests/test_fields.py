@@ -5,9 +5,10 @@ import pytest
 
 from carlitz_vmf.context import Context
 from carlitz_vmf.fields import (
-    _CONWAY, GF, PolyExtField, PrimeField, field_from_order, is_prime, show,
-    show_tuple,
+    _CONWAY, GF, PolyExtField, PrimeField, field_from_order, is_prime,
+    residue_field, show, show_tuple,
 )
+from carlitz_vmf.polys import PolyRing
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
@@ -145,8 +146,8 @@ def _swap_codes(F, c1, c2):
     swap = list(codes)
     swap[c1], swap[c2] = c2, c1
     G = copy.copy(F)
-    G._digits = [F._digits[swap[c]] for c in codes]
-    G._elements = [swap[c] for c in F._elements]
+    G.encode = lambda t: swap[F.encode(t)]
+    G.decode = lambda c: F.decode(swap[c])
     for name in ("add", "sub", "mul"):
         table = getattr(F, name + "_table")
         setattr(G, name + "_table", [[swap[table[swap[a]][swap[b]]] for b in codes]
@@ -163,6 +164,121 @@ def test_oracle_catches_two_swapped_codes(p, e):
     F = GF(p, e)
     assert _oracle_failures(_swap_codes(F, p, p + 1), p, e)
     assert _oracle_failures(_swap_codes(F, 1, F.order - 1), p, e)
+
+
+# residue fields F_q[y]/(P): q = 2 at degrees 1 and 3 (the towers the F_2
+# packer takes), q = 3 at degree 2, and q = 4 at degree 2 over coded F_4
+RESIDUE = {
+    "q2-deg1": (2, (1, 1)),
+    "q2-deg3": (2, (1, 0, 1, 1)),
+    "q3-deg2": (3, (1, 0, 1)),
+    "q4-deg2": (4, (2, 1, 1)),
+}
+
+
+def _residue_code(n, t):
+    """The int code of a coordinate tuple over a base of n elements,
+    written out: sum_k t[k] n^k."""
+    return sum(c * n ** k for k, c in enumerate(t))
+
+
+def _residue_failures(q, modulus):
+    """Every way the coded residue field departs from the schoolbook
+    field on coordinate tuples, read through ``_residue_code``."""
+    base = field_from_order(q)
+    F, ref = residue_field(base, modulus), PolyExtField(base, modulus)
+    els = list(ref.elements())
+
+    def code(t):
+        return _residue_code(q, t)
+
+    bad = []
+    if not F.coded or (F.zero, F.one) != (0, 1):
+        bad.append("zero and one")
+    if list(F.elements()) != [code(t) for t in els]:
+        bad.append("element order")
+    if F.gen() != code(ref.gen()):
+        bad.append("generator")
+    for t in els:
+        c = code(t)
+        if F.digits(c) != ref.digits(t) or F.from_digits(ref.digits(t)) != c:
+            bad.append(f"digits of {t}")
+        if show(F, c) != show(ref, t):
+            bad.append(f"display of {t}")
+        if F.neg_table[c] != code(ref.neg(t)) or F.neg(c) != F.neg_table[c]:
+            bad.append(f"neg {t}")
+        if c and (F.inv_table[c] != code(ref.inv(t)) or F.inv(c) != F.inv_table[c]):
+            bad.append(f"inv {t}")
+        for u in els:
+            # t - u is t + (-u) as well as the schoolbook's difference
+            if ref.sub(t, u) != ref.add(t, ref.neg(u)):
+                bad.append(f"schoolbook sub {t} {u}")
+            for name in ("add", "sub", "mul"):
+                want = code(getattr(ref, name)(t, u))
+                got = getattr(F, name + "_table")[c][code(u)]
+                if got != want or getattr(F, name)(c, code(u)) != want:
+                    bad.append(f"{name} {t} {u}")
+    # the embedding of F_q is the identity on codes
+    zeros = (base.zero,) * (len(modulus) - 2)
+    for a in base.elements():
+        if code((a,) + zeros) != a or F.from_digits(ref.digits((a,) + zeros)) != a:
+            bad.append(f"embedding of {a}")
+        for b in base.elements():
+            if F.mul_table[a][b] != base.mul(a, b) or F.add_table[a][b] != base.add(a, b):
+                bad.append(f"F_q arithmetic {a} {b}")
+    return bad
+
+
+@pytest.mark.parametrize("q, modulus", RESIDUE.values(), ids=RESIDUE.keys())
+def test_residue_field_matches_the_schoolbook(q, modulus):
+    assert _residue_failures(q, modulus) == []
+
+
+def test_residue_fields_are_shared_and_fill_on_first_use():
+    F4 = GF(2, 2)
+    F = residue_field(F4, (2, 1, 1))
+    assert residue_field(F4, (2, 1, 1)) is F
+    assert F == residue_field(F4, (2, 1, 1)) != PolyExtField(F4, (2, 1, 1))
+    F125 = residue_field(GF(5), (1, 1, 0, 1))
+    assert isinstance(F125.mul_table, dict)
+    assert F125.mul(3, 5) == F125.mul_table[3][5]
+    assert 5 in F125.mul_table[3] and len(F125.mul_table[3]) < F125.order
+
+
+@pytest.mark.parametrize("p", [257, 263])
+def test_prime_field_tables_agree_with_mod_p(p):
+    F = GF(p)
+    assert F.coded and (F.zero, F.one) == (0, 1)
+    for a in (0, 1, 2, 100, p - 2, p - 1):
+        assert F.neg_table[a] == -a % p
+        if a:
+            assert F.inv_table[a] * a % p == 1
+        for b in (0, 1, 3, 200, p - 1):
+            assert F.add_table[a][b] == (a + b) % p
+            assert F.sub_table[a][b] == (a - b) % p
+            assert F.mul_table[a][b] == a * b % p
+
+
+def test_a_large_prime_field_stores_no_table_entry():
+    listed, computed = PrimeField(257), PrimeField(263)
+    assert len(listed.mul_table) == 257 and len(listed.mul_table[5]) == 257
+    # 263 is past the small ints: a row per left operand, no entry kept
+    for b in range(263):
+        computed.add_table[7][b], computed.mul_table[7][b]
+    assert len(computed.add_table) == len(computed.mul_table) == 1
+    assert not hasattr(computed.mul_table[7], "__len__")
+
+
+def test_an_uncoded_field_is_refused():
+    F4 = GF(2, 2)
+    tuples = PolyExtField(F4, (F4.gen(), F4.one, F4.one))
+    with pytest.raises(ValueError, match=r"GF\(16\) on modulus \(2, 1, 1\)"):
+        PolyRing(tuples)
+    with pytest.raises(ValueError, match="not int codes"):
+        Context(4, coeff_field=tuples)
+    # the schoolbook reads its base's tables
+    with pytest.raises(ValueError, match=r"base field GF\(16\) is not coded"):
+        PolyExtField(tuples, (tuples.zero, tuples.one))
 
 
 def test_tower_elements_are_tuples_of_base_codes():

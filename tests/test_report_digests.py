@@ -13,6 +13,12 @@ congruence, vadic, hecke-mult-tau); they were recorded before either
 change, so a cached or borrowed series that differs from a fresh build
 in any coefficient shows here.  ``det`` at q = 2 runs at N = 24 to keep
 the guard fast.
+
+The rows recorded while residue-field elements were still tuples of base
+codes pin the suites that compute over F_{q^d}: ``hyperderiv-hecke`` at
+q = 2, 3 and 4, and ``congruence`` and ``vadic`` at q = 9, together with
+one ``specialized_to_json`` artifact over F_16 = F_4[y]/(P), the first
+tower over a non-prime base whose digit strings mix both F_4 digits.
 """
 
 import hashlib
@@ -20,7 +26,10 @@ import hashlib
 import pytest
 
 from carlitz_vmf import serialize
+from carlitz_vmf.context import Context
+from carlitz_vmf.specialize import RootContext, eval_root_form
 from carlitz_vmf.verify import run_suite
+from carlitz_vmf.vmf import eis1
 
 DIGESTS = {
     (2, "congruence", None):
@@ -31,6 +40,8 @@ DIGESTS = {
         "91b8515eaa174e217786d787c4c069f415a394b26fe02be523f1f9ad2d5d804b",
     (2, "hecke-mult-tau", None):
         "e7c0b1344ca79c3aa9901e84c408ec3b91abc277baf8cc966c4505d62ae88dd4",
+    (2, "hyperderiv-hecke", None):
+        "3b3808b713ad92879238bb26f578a67fc97d08d7e1e9751893687289211b6e64",
     (2, "vadic", None):
         "04a5721f925b46fdc6aed7728862157a8b7cf6fda6fa4715d4bad7f6fd270d46",
     (3, "congruence", None):
@@ -41,6 +52,8 @@ DIGESTS = {
         "c933878b6de96b49ec546c97916ddd8f7ad993c4cc0af315831a24386c519194",
     (3, "hecke-mult-tau", None):
         "41a6d8997b825cd7ecbd65497125b2a9053893120f6cf49c05b611396636cf10",
+    (3, "hyperderiv-hecke", None):
+        "c61564aac416702abb2e6b94466564b733b0774cdadf5262d333eaab40dd3e73",
     (3, "vadic", None):
         "ae63771ccbb62c9753b320b8d8155205632f2e3d854b7b00f8f810fff81df76b",
     (4, "congruence", None):
@@ -49,6 +62,8 @@ DIGESTS = {
         "5c9d3a875ac015938ffbc4c8f9f9de0662f548360d4df7dcfb13a33c718657db",
     (4, "hecke-eigen", None):
         "34750969fab47aab221c4500ad872f1398f62c4cc960d37241dcabf00fbda6b0",
+    (4, "hyperderiv-hecke", None):
+        "1fca68cdd73c052ff7c7b3716b6d46941e688dd6a336ccb2b520ffafb325de7a",
     (4, "oracles", None):
         "7e5a03d5409b9a47b7f47bdf88b6a807124b0adf1c479676a4ae9b002828e45a",
     (4, "eisenstein-aexp", None):
@@ -63,12 +78,16 @@ DIGESTS = {
         "004b650391464abb4f5eee9c6083d1f7914b5d225969d98ed591dd64dc0bfc9e",
     (8, "eisenstein-aexp", None):
         "dc1282e6c567ee4ad855696e72e81fce1adb8def5e7ea4c3be9ebe7f3575de80",
+    (9, "congruence", None):
+        "190ad39736b2fcb9f9444af5c95b0362c1ef6de9d0d7c92bf01e55805ee7a2e1",
     (9, "det", None):
         "a91ab06924bc34cc25a580f3d7752317519d0e86b2df97c2f5561567ec6d6b25",
     (9, "generators", None):
         "1d2f223cf893988e21139dec87a6fa0cc060d3b6ca14edf87bb57c39fee455f0",
     (9, "eisenstein-aexp", None):
         "65b422334892ebcdcb6627fc625a2e987be1edc62a05d31ef45d04be87724da0",
+    (9, "vadic", None):
+        "ee2b5ce3b07dcc138cc19eadc1142f5d9f485871664b6175b369b94e0aff0c0a",
 }
 
 
@@ -77,3 +96,16 @@ DIGESTS = {
 def test_report_bytes_are_pinned(q, suite, N):
     text = serialize.canonical_dumps(run_suite(suite, q, N))
     assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[(q, suite, N)]
+
+
+def test_specialized_artifact_over_f16_is_pinned():
+    """E_1 at the conjugate zeta^4 of a root of the first quadratic prime
+    over F_4, at N = 40: its coefficients include x + zeta (x the
+    generator of F_4), whose digit string "0110" mixes both F_4 digits."""
+    ctx = Context(4)
+    p = next(a for a in ctx.monics(2) if ctx.is_irreducible(a))
+    F = eval_root_form(eis1(ctx, 40), RootContext(ctx, p, 1))
+    text = serialize.canonical_dumps(serialize.specialized_to_json(F))
+    assert '"0110"' in text
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "636e564eb1a6336eeb9c84541aa6f4c702634506c2d966a319647deba35ee6a9")
