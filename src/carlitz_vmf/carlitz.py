@@ -14,7 +14,7 @@ from __future__ import annotations
 from .context import Context
 from .errors import NotIrreducibleError
 from .fields import show_tuple
-from .polys import Poly, RatFunc
+from .polys import Poly, RatFunc, _solve
 from .scalars import GradedScalar
 
 
@@ -152,28 +152,21 @@ def carlitz_factorial(ctx: Context, m: int) -> GradedScalar:
 
 def zeta_ratio(ctx: Context, m: int) -> GradedScalar:
     """zeta(m)/pi^m for (q-1) | m, m > 0: the w^m coefficient of w/e(w)
-    for the period-lattice exponential."""
+    for the period-lattice exponential, the series y with (e(w)/w) y = 1
+    (``polys._solve``)."""
     if m <= 0:
         raise ValueError("m must be positive")
     if (ctx.q - 1) > 1 and m % (ctx.q - 1):
         raise ValueError(f"{m} is not divisible by q-1")
 
     def build():
-        one = RatFunc(ctx.ring.one, None, reduce=False)
-        inv = [one]
         # e(w)/w has coefficient 1/D_j at w^(q^j - 1)
-        support = {}
+        f = []
         j = 1
         while ctx.q ** j - 1 <= m:
-            support[ctx.q ** j - 1] = RatFunc(ctx.ring.one, ctx.D(j))
+            f.append((ctx.q ** j - 1, RatFunc(ctx.ring.one, ctx.D(j))))
             j += 1
-        for n in range(1, m + 1):
-            acc = None
-            for k, c in support.items():
-                if k <= n:
-                    v = c * inv[n - k]
-                    acc = v if acc is None else acc + v
-            inv.append(-acc if acc is not None else RatFunc(ctx.ring.zero, None, reduce=False))
-        return inv[m]
+        y = _solve({0: RatFunc(ctx.ring.one, None, reduce=False)}, f, m + 1)
+        return y.get(m, RatFunc(ctx.ring.zero, None, reduce=False))
 
     return GradedScalar.from_rat(ctx.memo(("zeta_ratio", m), build))

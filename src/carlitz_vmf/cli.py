@@ -120,10 +120,10 @@ def _read_cached(path: str):
 
 
 def _context(args):
-    """The Context of --q or --p/--e, or None after printing the error when
-    the field is not valid."""
+    """The Context of --q, or None after printing the error when the field
+    is not valid."""
     try:
-        return Context(q=args.q) if args.q else Context(p=args.p, e=args.e)
+        return Context(args.q)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None
@@ -243,8 +243,8 @@ BENCH_GRID = {2: 128, 3: 81, 4: 320, 5: 450}
 
 def cmd_bench(args) -> int:
     """Time E1, E1*E1 and T_theta E1 on the default (q, N) grid, or on the
-    one row that --q (or --p/--e) and --trunc select."""
-    if args.q or args.p:
+    one row that --q and --trunc select."""
+    if args.q:
         ctx = _context(args)
         if ctx is None:
             return 2
@@ -292,8 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--q", type=int, help="field size q = p^e")
-        p.add_argument("--p", type=int, help="characteristic (with --e)")
-        p.add_argument("--e", type=int, default=1, help="extension degree")
         p.add_argument("--trunc", type=int, default=None,
                        help="series truncation order")
 
@@ -333,8 +331,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     if args.command in ("compute", "verify"):
-        if not args.q and not args.p:
-            print("error: give --q or --p/--e", file=sys.stderr)
+        if not args.q:
+            print("error: give --q", file=sys.stderr)
             return 2
         if args.command == "compute" and args.trunc is None:
             print("error: compute needs --trunc", file=sys.stderr)

@@ -25,22 +25,15 @@ from __future__ import annotations
 
 from itertools import product
 
-from .fields import GF, PolyExtField, field_from_order
+from .fields import PolyExtField, field_from_order
 from .polys import Poly, PolyRing, _univar_gcd
 from .scalars import GradedScalar
 
 
 class Context:
-    def __init__(self, q: int | None = None, *, p: int | None = None,
-                 e: int | None = None, coeff_field=None,
+    def __init__(self, q: int, *, coeff_field=None,
                  parent: "Context | None" = None):
-        if q is None:
-            if p is None:
-                raise ValueError("give q or (p, e)")
-            e = e or 1
-            self.base_field = GF(p, e)
-        else:
-            self.base_field = field_from_order(q)
+        self.base_field = field_from_order(q)
         self.p = self.base_field.p
         self.e = self.base_field.e
         self.q = self.base_field.order

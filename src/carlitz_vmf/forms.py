@@ -81,7 +81,7 @@ def a_expansion(ctx: Context, coeff_fn, k: int, N: int) -> USeries:
     terms = []
     for a in ctx.monics_below(N):
         c = coeff_fn(a)
-        if c is None or (hasattr(c, "is_zero") and c.is_zero()):
+        if c is None or c.is_zero():
             continue
         terms.append((c, goss_series(ctx, L, k, a, N), 0))
     return USeries.lincomb(ctx, terms, N)

@@ -376,6 +376,33 @@ def _pow(x, n: int, one):
     return out
 
 
+def _solve(x: dict, f: list, rel: int, lead_inv=None) -> dict:
+    """{n: y_n} for n < rel with y_n = c (x_n - sum_(1<=k<=n) f_k y_(n-k)),
+    c = lead_inv (None for 1): the series y with f y = x, for f = f_0 +
+    sum f_k u^k, c = 1/f_0 and x = {n: x_n} with n >= 0.
+
+    f lists the (k, f_k) with k >= 1 in increasing k, since the sum stops
+    at the first k > n.  The coefficients are whatever ring elements x and
+    f hold: GradedScalars (``USeries.inverse``), Polys
+    (``useries._poly_solve``) or RatFuncs (``carlitz.zeta_ratio``)."""
+    y: dict = {}
+    for n in range(rel):
+        acc = None
+        for k, fk in f:
+            if k > n:
+                break
+            b = y.get(n - k)
+            if b is not None:
+                t = fk * b
+                acc = t if acc is None else acc + t
+        xn = x.get(n)
+        if acc is not None:
+            xn = -acc if xn is None else xn - acc
+        if xn is not None and not xn.is_zero():
+            y[n] = xn if lead_inv is None else lead_inv * xn
+    return y
+
+
 def _lucas_binom(m, n, p):
     """binomial(m, n) mod p via Lucas."""
     out = 1

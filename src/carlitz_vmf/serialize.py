@@ -15,6 +15,7 @@ from .context import Context
 from .forms import ClassicalForm
 from .polys import Poly, RatFunc, poly_gcd
 from .scalars import GradedScalar
+from .specialize import RootContext, SpecializedForm
 from .useries import USeries
 from .vmf import VMForm
 
@@ -167,8 +168,6 @@ def specialized_to_json(F):
 
 
 def specialized_from_json(ctx: Context, data):
-    from .specialize import RootContext, SpecializedForm
-
     base = ctx.base_field
     p = tuple(elt_from_digits(base, s) for s in data["prime"])
     rctx = RootContext(ctx, p, data["frobenius_power"])

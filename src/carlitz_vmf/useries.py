@@ -15,21 +15,24 @@ a polynomial of one grade, and the grades add up alike in every term:
 each series is packed once into bitmask rows (``polys._F2Packer``),
 coefficient products are XORs of shifted rows accumulated per output
 exponent across all terms, and one ``Poly`` is built per output
-coefficient.  The recurrence of ``USeries.inverse`` packs the same way
-when, in addition, the lowest coefficient is a constant.  Odd
-characteristic, a denominator, mixed grades or a tower over F_4 stay on
-the schoolbook loops; both give the same coefficients.  The packed codec
-reads a coefficient's code as its F_2 digits, which it is in every
-extension of F_2.
+coefficient.  Odd characteristic, a denominator, mixed grades or a tower
+over F_4 stay on the schoolbook loop; both give the same coefficients.
+The packed codec reads a coefficient's code as its F_2 digits, which it
+is in every extension of F_2.
+
+Series inverses and the divisions below are one recurrence, y with
+f y = x (``polys._solve``).  A series of polynomials of one grade with a
+constant lowest coefficient runs it on ``Poly`` coefficients through
+``_poly_solve``, packed over F_2 and its extensions F_2[x]/(m) and
+plain over every other field; every other series runs it on GradedScalars.
 
 ``goss_series`` takes G_k(u(a z)) with no series product.  u(a z) =
 u^Q Y with Y = 1 / P_a, P_a = sum_i [a]_i u^(Q - q^i) sparse, and in
 characteristic p a p^j-th power of a series is its coefficientwise
 Frobenius image.  So u(a z)^e is a Frobenius image of the Y that
 ``u_scale`` caches, divided by a twist Frob^j(P_a) once per remaining
-unit of the base-p digits of e; a division is the sparse recurrence of
-``inverse`` (``_solve``, packed over F_2 and F_{2^e} by
-``_packed_solve``).  Both u(a z) and each Y^e are kept per context at
+unit of the base-p digits of e; a division is ``_poly_solve`` over the
+sparse P_a.  Both u(a z) and each Y^e are kept per context at
 their highest precision (``Context.memo_upto``), and a context over
 F_{q^d} reads u(a z) from its F_q parent (``embed_series``): an element
 of F_q has the same code in F_{q^d}, so each polynomial is only
@@ -42,8 +45,8 @@ import math
 
 from .carlitz import goss_poly, period_lattice, torsion_lattice
 from .context import Context
-from .errors import MixedGradeError, PrecisionError
-from .polys import Poly, RatFunc, _f2_packer, _lucas_binom, _pow
+from .errors import MixedGradeError, NotTauImageError, PrecisionError
+from .polys import Poly, RatFunc, _f2_packer, _lucas_binom, _pow, _solve
 from .scalars import GradedScalar, eval_root, eval_theta_power
 
 
@@ -199,10 +202,19 @@ class USeries:
         except MixedGradeError:
             raise MixedGradeError("lowest coefficient is not invertible (mixed grade)")
         f = sorted((n - v, c) for n, c in self.c.items() if n > v)
-        out = _packed_inverse(lead, f, lead_inv, rel_prec)
-        if out is None:
-            out = _solve({0: GradedScalar.one(self.ctx.ring)}, f, rel_prec,
-                         lead_inv)
+        ring = self.ctx.ring
+        g = _poly_grade([lead] + [c for _, c in f])
+        p0 = None if g is None else lead.terms[g].num
+        if p0 is None or p0.deg_theta() or p0.deg_t():
+            out = _solve({0: GradedScalar.one(ring)}, f, rel_prec, lead_inv)
+        else:
+            ((grade, c0),) = lead_inv.terms.items()
+            y = _poly_solve(ring, {0: ring.one},
+                            [(k, s.terms[g].num) for k, s in f], rel_prec,
+                            c0.num.coeff(0, 0))
+            out = {n: GradedScalar(ring, {grade: RatFunc(p, None,
+                                                         reduce=False)})
+                   for n, p in y.items()}
         return USeries(self.ctx, {n - v: c for n, c in out.items()},
                        rel_prec - v)
 
@@ -272,8 +284,6 @@ class USeries:
     def untau(self):
         """Inverse twist; exponents must be multiples of q, coefficients
         twist images."""
-        from .errors import NotTauImageError
-
         q = self.ctx.q
         for n in self.c:
             if n % q:
@@ -432,41 +442,24 @@ def _packed_lincomb(ctx: Context, terms, prec) -> dict | None:
     return out
 
 
-def _solve(x: dict, f: list, rel: int, lead_inv=None) -> dict:
-    """{n: y_n} for n < rel with y_n = c (x_n - sum_(1<=k<=n) f_k y_(n-k)),
-    c = lead_inv (None for 1): the series y with f y = x, for f = f_0 +
-    sum f_k u^k, c = 1/f_0 and x = {n: x_n} with n >= 0.
+def _poly_solve(ring, x: dict, f: list, rel: int, code: int = 1) -> dict:
+    """``polys._solve`` for Poly coefficients: {n: y_n} for n < rel of the
+    series y with f y = x, for x = {n: Poly}, f = [(k, Poly f_k)] with
+    k >= 1 in increasing k, and 1/f_0 the constant of code ``code``.
 
-    f lists the (k, f_k) with k >= 1 in increasing k, since the sum stops
-    at the first k > n.  Coefficients are GradedScalars (``inverse``) or
-    Polys (the divisions of ``goss_series``), whichever x and f hold."""
-    y: dict = {}
-    for n in range(rel):
-        acc = None
-        for k, fk in f:
-            if k > n:
-                break
-            b = y.get(n - k)
-            if b is not None:
-                t = fk * b
-                acc = t if acc is None else acc + t
-        xn = x.get(n)
-        if acc is not None:
-            xn = -acc if xn is None else xn - acc
-        if xn is not None and not xn.is_zero():
-            y[n] = xn if lead_inv is None else lead_inv * xn
-    return y
-
-
-def _packed_solve(packer, ring, x: dict, fp: list, code: int, rel: int):
-    """``_solve`` through the packed F_2 codec: {n: (Poly, packed)} of y,
-    for x = {n: packed x_n}, fp = [(k, packed f_k)] in increasing k, and
-    c the constant of code ``code``.  In characteristic 2 the minus signs
-    are XORs."""
+    Over F_2 and its extensions F_2[x]/(m) the recurrence runs on packed
+    rows (``polys._F2Packer``): x and f are packed once, each y_n is
+    unpacked once, and the minus signs are XORs.  Elsewhere it is
+    ``_solve`` on the Polys."""
+    packer = _f2_packer(ring.field)
+    if packer is None:
+        lead_inv = None if code == 1 else Poly(ring, {(0, 0): code})
+        return _solve(x, f, rel, lead_inv)
+    fp = [(k, packer.pack(c)) for k, c in f]
     y: dict = {}
     for n in range(rel):
         xn = x.get(n)
-        acc = dict(xn[0]) if xn is not None else {}
+        acc = dict(packer.pack(xn)[0]) if xn is not None else {}
         for k, a in fp:
             if k > n:
                 break
@@ -479,30 +472,7 @@ def _packed_solve(packer, ring, x: dict, fp: list, code: int, rel: int):
         if code != 1:
             rows = packer.multiples([rows, None, None])[code]
         y[n] = packer.unpack(ring, rows)
-    return y
-
-
-def _packed_inverse(lead: GradedScalar, f: list, lead_inv: GradedScalar,
-                    rel_prec: int):
-    """The recurrence of ``USeries.inverse`` through ``_packed_solve``, for
-    a constant lead; None where ``_packed_lincomb`` would decline, or when
-    the lead is not a constant."""
-    ring = lead_inv.ring
-    packer = _f2_packer(ring.field)
-    if packer is None:
-        return None
-    g = _poly_grade([lead] + [c for _, c in f])
-    if g is None:
-        return None
-    p0 = lead.terms[g].num
-    if p0.deg_theta() or p0.deg_t():
-        return None
-    ((grade, c0),) = lead_inv.terms.items()
-    fp = [(k, packer.pack(s.terms[g].num)) for k, s in f]
-    y = _packed_solve(packer, ring, {0: packer.pack(ring.one)}, fp,
-                      c0.num.coeff(0, 0), rel_prec)
-    return {n: GradedScalar(ring, {grade: RatFunc(p, None, reduce=False)})
-            for n, (p, _) in y.items()}
+    return {n: p for n, (p, _) in y.items()}
 
 
 def quotients(nums, den: USeries) -> list:
@@ -605,10 +575,9 @@ def _power_of_y(ctx: Context, a, Y: dict, e: int, rel: int) -> USeries:
     With e = sum_j e_j p^j and j0 the place of the top digit, Y^e is the
     twist Frob^(j0)(Y) divided once by Frob^j(P_a) = sum_i [a]_i^(p^j)
     u^(p^j (Q - q^i)) for each other unit of the digits.  Each division
-    is the recurrence of ``_solve`` over the d terms of positive degree,
-    packed over F_2 and F_(2^e).  Kept per (a, e) by ``ctx.memo_upto``:
-    the recurrence fixes y_n from the terms below n, so a build to a
-    higher rel cut to rel is the build to rel."""
+    is ``_poly_solve`` over the d terms of positive degree.  Kept per
+    (a, e) by ``ctx.memo_upto``: the recurrence fixes y_n from the terms
+    below n, so a build to a higher rel cut to rel is the build to rel."""
     def build():
         ring, p, q = ctx.ring, ctx.p, ctx.q
         digits = []
@@ -624,17 +593,8 @@ def _power_of_y(ctx: Context, a, Y: dict, e: int, rel: int) -> USeries:
         divisors = [[(p ** j * (q ** d - q ** i), _frobenius(coeffs[i], j))
                      for i in range(d - 1, -1, -1) if not coeffs[i].is_zero()]
                     for j, ej in enumerate(digits) for _ in range(ej)]
-        packer = _f2_packer(ring.field)
-        if packer is None or not divisors:
-            for f in divisors:
-                x = _solve(x, f, rel)
-        else:
-            y = {n: (c, packer.pack(c)) for n, c in x.items()}
-            for f in divisors:
-                y = _packed_solve(packer, ring,
-                                  {n: b for n, (_, b) in y.items()},
-                                  [(k, packer.pack(c)) for k, c in f], 1, rel)
-            x = {n: c for n, (c, _) in y.items()}
+        for f in divisors:
+            x = _poly_solve(ring, x, f, rel)
         return USeries(ctx, {n: GradedScalar.from_poly(c) for n, c in x.items()},
                        rel)
 

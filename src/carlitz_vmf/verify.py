@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 
+from . import serialize as ser
 from .carlitz import b_poly_twist, goss_poly, period_lattice, zeta_ratio
 from .context import Context
 from .errors import CarlitzVMFError, PrecisionError
@@ -23,6 +24,8 @@ from .forms import (ClassicalForm, a_expansion, gen_Delta, gen_E, gen_fs,
                     gh_monomials, para_eisenstein, ramanujan_serre)
 from .polys import Poly, RatFunc
 from .scalars import GradedScalar, eval_theta_power
+from .specialize import (RootContext, congruence_check, enumerate_primes,
+                         hecke_compat_check, vadic_check)
 from .useries import USeries, dz, goss_series, trace_div, u_scale
 from .vmf import (compose_structure, det_pair, eis1, eis_k, eis_q, hecke,
                   lambda_q, legendre_fstar, structure_decompose, tau_omega_inv,
@@ -143,8 +146,7 @@ def _normalized_e1(ctx, N):
         GradedScalar.from_poly(-b_poly_twist(ctx, 1, 0), 0, 1))
 
 
-def suite_tau_difference(q: int, N: int = 40, kmax: int = 3,
-                         *, checks: list) -> dict:
+def suite_tau_difference(q: int, N: int = 40, *, checks: list) -> dict:
     ctx = Context(q)
     Y = _normalized_e1(ctx, N)
     tY = tau_vmf(Y)
@@ -171,7 +173,7 @@ def suite_tau_difference(q: int, N: int = 40, kmax: int = 3,
     powersY = [Y, tY, ttY]
     M = None
     Bk = B
-    for k in range(1, kmax + 1):
+    for k in (1, 2, 3):
         M = Bk if M is None else mat_mul(M, Bk)
         Bk = mat_tau(Bk)
         while len(powersY) < k + 2:
@@ -376,8 +378,6 @@ def suite_specialize_petrov(q: int, N: int | None = None,
 
 
 def suite_congruence(q: int, N: int = 32, *, checks: list) -> dict:
-    from .specialize import RootContext, congruence_check, enumerate_primes
-
     ctx = Context(q)
     for p in enumerate_primes(ctx, 2):
         for l in range(len(p) - 1):
@@ -389,8 +389,6 @@ def suite_congruence(q: int, N: int = 32, *, checks: list) -> dict:
 
 
 def suite_vadic(q: int, N: int = 32, *, checks: list) -> dict:
-    from .specialize import RootContext, enumerate_primes, vadic_check
-
     ctx = Context(q)
     for p in enumerate_primes(ctx, 2):
         rep = vadic_check(RootContext(ctx, p), 1, N)
@@ -403,9 +401,7 @@ def suite_vadic(q: int, N: int = 32, *, checks: list) -> dict:
 # -- 9. hyperderivative/Hecke compatibility -------------------------------------------
 
 
-def suite_hyperderiv_hecke(q: int = 2, N: int = 24, *, checks: list) -> dict:
-    from .specialize import RootContext, hecke_compat_check
-
+def suite_hyperderiv_hecke(q: int, N: int = 24, *, checks: list) -> dict:
     ctx = Context(q)
     e1 = eis1(ctx, N)
     p = prime_theta(ctx)
@@ -462,6 +458,16 @@ def coset_power_sums(ctx: Context, p, base: USeries, K: int):
     return sums
 
 
+def _coset_sum(ctx: Context, sums: dict, terms: list, prec) -> USeries:
+    """The sum of c * sums[n] over (n, c) in terms, known below prec: the
+    coset trace of sum c u^n, term by term from the power sums of
+    ``coset_power_sums``."""
+    brute = USeries.zero(ctx, prec)
+    for n, c in terms:
+        brute = brute + sums[n].truncate(int(brute._p())).scale(c)
+    return brute
+
+
 def suite_oracles(q: int, N: int | None = None, *, checks: list) -> dict:
     ctx = Context(q)
     if N is None:
@@ -472,13 +478,11 @@ def suite_oracles(q: int, N: int | None = None, *, checks: list) -> dict:
     for name, f in (("E", gen_E(ctx, N).series), ("g", gen_g(ctx, N).series)):
         K = int(f._p()) - 1
         sums = coset_power_sums(ctx, p, u, K)
-        brute = USeries.zero(ctx, trace_div(f, p)._p())
-        for n, c in sorted(f.c.items()):
-            if n == 0:
-                continue
-            brute = brute + sums[n].truncate(int(brute._p())).scale(c)
+        lhs = trace_div(f, p)
+        brute = _coset_sum(ctx, sums, [(n, c) for n, c in sorted(f.c.items())
+                                       if n != 0], lhs._p())
         _chk_same(checks, f"trace against brute-force coset sum on {name}",
-                  trace_div(f, p), brute)
+                  lhs, brute)
 
     # orthogonality of the torsion polynomials at degree one
     L = period_lattice(ctx)
@@ -490,10 +494,9 @@ def suite_oracles(q: int, N: int | None = None, *, checks: list) -> dict:
             rhs = G.scale(GradedScalar.from_poly(ctx.apoly(p) ** k))
             sums = coset_power_sums(ctx, p, Sa, k * 2 + 2)
             gk = goss_poly(ctx, L, k)
-            brute = USeries.zero(ctx, lhs._p())
-            for e, c in gk.coeffs.items():
-                brute = brute + sums[e].truncate(int(lhs._p())).scale(
-                    GradedScalar.from_rat(c))
+            brute = _coset_sum(ctx, sums, [(e, GradedScalar.from_rat(c))
+                                           for e, c in gk.coeffs.items()],
+                               lhs._p())
             d1 = lhs.first_difference(rhs)
             d2 = brute.first_difference(rhs)
             _chk(checks, f"coset orthogonality k={k}, "
@@ -703,8 +706,6 @@ def suite_properties(q: int, N: int = 24, seed: int = 7, cases: int = 10,
     _chk(checks, "precision soundness at N vs 2N", ok)
 
     # serialization round-trips
-    from . import serialize as ser
-
     ok = True
     for _ in range(cases):
         fs = _random_series(ctx, rng, N, val=-2, with_grades=True)

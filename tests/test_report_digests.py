@@ -19,6 +19,12 @@ codes pin the suites that compute over F_{q^d}: ``hyperderiv-hecke`` at
 q = 2, 3 and 4, and ``congruence`` and ``vadic`` at q = 9, together with
 one ``specialized_to_json`` artifact over F_16 = F_4[y]/(P), the first
 tower over a non-prime base whose digit strings mix both F_4 digits.
+
+The odd-q rows of ``legendre``, ``oracles`` and ``hecke-eigen`` at q = 3
+and 5 pin the reports whose series inverses, Y^e divisions and zeta
+ratios run the power-series recurrence on ``Poly`` coefficients; they
+were recorded while ``USeries.inverse`` still ran it on GradedScalars at
+odd q and ``zeta_ratio`` had a loop of its own.
 """
 
 import hashlib
@@ -56,6 +62,12 @@ DIGESTS = {
         "c61564aac416702abb2e6b94466564b733b0774cdadf5262d333eaab40dd3e73",
     (3, "vadic", None):
         "ae63771ccbb62c9753b320b8d8155205632f2e3d854b7b00f8f810fff81df76b",
+    (3, "legendre", None):
+        "d7c9b8a437c9a340951d02183d885cc250ba1e22c91f1867d1c9e3db34700faa",
+    (3, "oracles", None):
+        "bebc79ce2c2ab55d5b59978c6ef30c46a95636d27308b87a171420827690c92a",
+    (3, "hecke-eigen", None):
+        "6a29955edf76b053d0c106e47b24289e607458e19d3d579f468cd25f534160bb",
     (4, "congruence", None):
         "2fb70f26fb62a73e34a82f80d173da6e2a88873f9596e910387cd8afa71e440c",
     (4, "vadic", None):
@@ -72,6 +84,10 @@ DIGESTS = {
         "9412a79df8b9fd4aad45d9d7110beff2e417624be4efaade085d2fd5a05310f1",
     (4, "legendre", 49):
         "8114f4146e8fbc2d22948f228c5dcc56ba4ae0fe4b2278c47cf295a5ab7eb779",
+    (5, "oracles", None):
+        "bfba1f909677b623de16888af30ba3220625d5b7ca3e88739cf3f9125a7074c7",
+    (5, "hecke-eigen", None):
+        "7b7a1c3a47fc1a05f5e4cda7b3fe7769e89e9bddbc29c5428b9b92a064b518fc",
     (8, "det", None):
         "a2ffd7b69ccc84d85f657f31c0c61e89d6b815cfe6f7eae4e22ad52c0d7e9258",
     (8, "generators", None):

@@ -11,7 +11,7 @@ from carlitz_vmf.errors import (MixedGradeError, NotTauImageError,
 from carlitz_vmf.forms import (ClassicalForm, gen_E, gen_g, gen_h,
                                ramanujan_serre)
 from carlitz_vmf.fields import GF, residue_field
-from carlitz_vmf.polys import Poly, RatFunc, _f2_packer
+from carlitz_vmf.polys import Poly, RatFunc, _f2_packer, _solve
 from carlitz_vmf.scalars import GradedScalar
 from carlitz_vmf.useries import USeries, dz, scale_arg, trace_div, u_scale
 from conftest import shared_context
@@ -517,6 +517,56 @@ def test_packed_inverse_with_non_unit_lead_in_f4():
     inv = f.inverse()
     assert inv.c[0] == GradedScalar.from_poly(R.theta).inv()
     assert (f * inv).eq_to_prec(USeries.one(ctx, 6))
+
+
+def _graded_inverse(f, rel):
+    """The coefficients of 1 / f below u^(rel - val f), by ``polys._solve``
+    on GradedScalars."""
+    v = f.val()
+    terms = sorted((n - v, c) for n, c in f.c.items() if n > v)
+    y = _solve({0: GradedScalar.one(f.ctx.ring)}, terms, rel, f.c[v].inv())
+    return {n - v: c for n, c in y.items()}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_poly_solve_matches_graded_solve(q, monkeypatch):
+    """``USeries.inverse`` and ``_power_of_y`` run ``_poly_solve`` (packed
+    over F_2 and F_4, on Polys over F_3 and F_5) and equal ``_solve`` on
+    GradedScalars.  The inverses take every nonzero constant as lead, so
+    a lead other than 1 at q > 2; Y^e takes e = p^2 + p + 1, whose three
+    base-p digits chain two divisions, for a monic of degree 1 and one of
+    degree 2 (a divisor of two terms)."""
+    calls = []
+    poly_solve = useries._poly_solve
+    monkeypatch.setattr(useries, "_poly_solve",
+                        lambda *args: calls.append(args) or poly_solve(*args))
+    ctx = Context(q)
+    R = ctx.ring
+    rng = random.Random(q)
+    for lead in R.field.elements():
+        if lead == R.field.zero:
+            continue
+        f = _poly_series(ctx, rng, 1, 10, 10, grade=(1, -1), deg_t=1)
+        f = USeries(ctx, {**f.c, 0: GradedScalar.from_poly(R.const(lead),
+                                                             1, -1)}, 10)
+        n = len(calls)
+        inv = f.inverse()
+        assert len(calls) == n + 1
+        assert inv.prec == 10 and inv.c == _graded_inverse(f, 10)
+    p = ctx.p
+    e = p * p + p + 1
+    for a, rel in ((ctx.monics(1)[-1], 6 * q),
+                   (ctx.monics(2)[-1], q * q + 2 * q)):
+        Q = q ** (len(a) - 1)
+        S = u_scale(ctx, a, rel + Q)
+        Y = {n - Q: c.grade_part(0, 0).num for n, c in S.c.items()}
+        n = len(calls)
+        got = useries._power_of_y(ctx, a, Y, e, rel)
+        assert len(calls) == n + 2
+        P = USeries(ctx, {Q - q ** i: GradedScalar.from_poly(c)
+                          for i, c in enumerate(ctx.carlitz_coeffs(a))
+                          if not c.is_zero()}, rel)
+        assert got.prec == rel and got.c == _graded_inverse(P ** e, rel)
 
 
 def _oracle_lincomb(ctx, terms, prec=None):
