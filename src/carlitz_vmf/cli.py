@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
 from . import serialize as ser
@@ -173,18 +172,6 @@ def cmd_compute(args) -> int:
     return 0
 
 
-def _run_one(item):
-    """Run one suite; the options in kw go to the suites that take them.
-    A suite that needs a larger truncation gives the PrecisionError's
-    message in place of its report."""
-    name, q, N, kw = item
-    kw = kw if name == "hecke-eigen" else {}
-    try:
-        return name, run_suite(name, q, N, **kw)
-    except PrecisionError as exc:
-        return name, str(exc)
-
-
 def cmd_verify(args) -> int:
     ctx = _context(args)
     if ctx is None:
@@ -195,23 +182,21 @@ def cmd_verify(args) -> int:
             print(f"error: unknown suite {n!r}; choose from "
                   f"{', '.join(sorted(SUITES))} or 'all'", file=sys.stderr)
             return 2
-    kw = {}
+    primes = None
     if args.prime:
         try:
-            kw["primes"] = [parse_prime(ctx, p) for p in args.prime.split(",")]
+            primes = [parse_prime(ctx, p) for p in args.prime.split(",")]
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    jobs = [(n, ctx.q, args.trunc, kw) for n in names]
-    if args.jobs > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as ex:
-            results = dict(ex.map(_run_one, jobs))
-    else:
-        results = dict(map(_run_one, jobs))
-    short = [n for n in names if isinstance(results[n], str)]
-    reports = [results[n] for n in names if n not in short]
+    reports, short = [], []
+    for n in names:
+        kw = {"primes": primes} if primes and n == "hecke-eigen" else {}
+        try:
+            reports.append(run_suite(n, ctx.q, args.trunc, **kw))
+        except PrecisionError as exc:
+            short.append((n, str(exc)))
     failed = False
-    out = []
     for rep in reports:
         status = ("PASS" if rep["ok"] else "FAIL") if rep["ok"] is not None \
             else "REPORT"
@@ -226,12 +211,11 @@ def cmd_verify(args) -> int:
             print(f"    verdict: {rep['verdict']}")
         if rep["ok"] is False:
             failed = True
-        out.append(rep)
     if args.report:
         with open(args.report, "w") as fh:
-            json.dump(out, fh, indent=1, default=str, sort_keys=True)
-    for n in short:
-        print(f"error: insufficient precision in suite {n!r}: {results[n]}; "
+            json.dump(reports, fh, indent=1, default=str, sort_keys=True)
+    for n, msg in short:
+        print(f"error: insufficient precision in suite {n!r}: {msg}; "
               "rerun it with a larger --trunc", file=sys.stderr)
     if short:
         return 3
@@ -311,8 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="suite name or 'all': " + ", ".join(sorted(SUITES)))
     pv.add_argument("--prime", help="comma-separated primes for hecke-eigen, "
                     "e.g. 'theta,theta+1'")
-    pv.add_argument("--jobs", type=int, default=1,
-                    help="parallel suite evaluation")
     pv.add_argument("--report", help="write the JSON report here")
     pv.add_argument("--verbose", action="store_true")
     pv.set_defaults(fn=cmd_verify)

@@ -19,6 +19,9 @@ serves ``u_scale``, the Y^e of ``useries._power_of_y``, the forms
 ``gen_goss_eis``, and the vectorial series ``eis1``, ``eis_q`` and
 ``eis_k``: a build at M > N cut to N equals a build at N, coefficients,
 precision and flags (the truncation tests pin this per builder).
+``clear()`` empties both caches; ``verify.run_suite`` calls it when a
+suite ends, so a finished suite's series do not wait for the cyclic
+collector (the cached builds close over their context).
 """
 
 from __future__ import annotations
@@ -54,6 +57,12 @@ class Context:
         if self.coeff_field != self.base_field:
             tag += f", coeffs={self.coeff_field}"
         return f"Context({tag})"
+
+    def clear(self):
+        """Empty both caches together: `memo_upto` trusts ``tops[key]`` to
+        name a build still held in ``cache``."""
+        self.cache.clear()
+        self.tops.clear()
 
     def memo(self, key, fn):
         if key not in self.cache:

@@ -188,14 +188,17 @@ class USeries:
         return USeries(self.ctx, {n + k: c for n, c in self.c.items()}, prec)
 
     def inverse(self, rel_prec: int | None = None):
-        """Inverse of a Laurent series with invertible lowest coefficient."""
+        """Inverse of a Laurent series with invertible lowest coefficient, to
+        relative precision rel_prec, capped at the relative precision that
+        the series itself carries."""
         if not self.c:
             raise ZeroDivisionError("inverse of zero series")
         v = self.val()
-        if rel_prec is None:
-            if self.prec is None:
-                raise PrecisionError("inverse of an exact series needs a target precision")
-            rel_prec = self.prec - v
+        if self.prec is not None:
+            known = self.prec - v
+            rel_prec = known if rel_prec is None else min(rel_prec, known)
+        elif rel_prec is None:
+            raise PrecisionError("inverse of an exact series needs a target precision")
         lead = self.c[v]
         try:
             lead_inv = lead.inv()

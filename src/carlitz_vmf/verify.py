@@ -82,8 +82,8 @@ def prime_theta_plus(ctx, c: int):
 # -- 1. generator expansions ---------------------------------------------------
 
 
-def suite_generators(q: int, N: int | None = None, *, checks: list) -> dict:
-    ctx = Context(q)
+def suite_generators(ctx: Context, N: int | None = None, *, checks: list) -> dict:
+    q = ctx.q
     v = q - 1
     if N is None:
         N = max(60, v * v + 2)  # E is read at u^(1 + (q-1)^2)
@@ -120,8 +120,8 @@ def suite_generators(q: int, N: int | None = None, *, checks: list) -> dict:
 # -- 2. determinant identity ------------------------------------------------------
 
 
-def suite_det(q: int, N: int = 40, *, checks: list) -> dict:
-    ctx = Context(q)
+def suite_det(ctx: Context, N: int = 40, *, checks: list) -> dict:
+    q = ctx.q
     e1 = eis1(ctx, N)
     eqf = eis_q(ctx, N)
     det = det_pair(e1, eqf)
@@ -146,8 +146,8 @@ def _normalized_e1(ctx, N):
         GradedScalar.from_poly(-b_poly_twist(ctx, 1, 0), 0, 1))
 
 
-def suite_tau_difference(q: int, N: int = 40, *, checks: list) -> dict:
-    ctx = Context(q)
+def suite_tau_difference(ctx: Context, N: int = 40, *, checks: list) -> dict:
+    q = ctx.q
     Y = _normalized_e1(ctx, N)
     tY = tau_vmf(Y)
     ttY = tau_vmf(tY)
@@ -196,9 +196,9 @@ def suite_tau_difference(q: int, N: int = 40, *, checks: list) -> dict:
 # -- 4/5. Hecke eigenforms, multiplicativity, twist compatibility ------------------
 
 
-def suite_hecke_eigen(q: int, N: int | None = None, primes=None,
+def suite_hecke_eigen(ctx: Context, N: int | None = None, primes=None,
                       *, checks: list) -> dict:
-    ctx = Context(q)
+    q = ctx.q
     if primes is None:
         primes = [prime_theta(ctx), prime_theta_plus(ctx, 1)]
         if q == 2:
@@ -223,11 +223,11 @@ def suite_hecke_eigen(q: int, N: int | None = None, primes=None,
     return _report("hecke-eigen", q, N, checks)
 
 
-def suite_hecke_mult_tau(q: int, N: int | None = None,
+def suite_hecke_mult_tau(ctx: Context, N: int | None = None,
                          *, checks: list) -> dict:
+    q = ctx.q
     if N is None:
         N = 20 if q == 2 else 24
-    ctx = Context(q)
     p1 = prime_theta(ctx)
     p2 = prime_theta_plus(ctx, 1)
     # first: the Legendre pair's E1 to O(u^(q(N+2))) serves E1 to O(u^N)
@@ -248,10 +248,10 @@ def suite_hecke_mult_tau(q: int, N: int | None = None,
 # -- 6. Legendre pair -----------------------------------------------------------
 
 
-def suite_legendre(q: int, N: int | None = None, *, checks: list) -> dict:
+def suite_legendre(ctx: Context, N: int | None = None, *, checks: list) -> dict:
+    q = ctx.q
     if N is None:
         N = max(64, (q - 1) * q * q + 1)  # d2 is read at u^((q-1) q^2)
-    ctx = Context(q)
     fstar, d2, d3 = legendre_fstar(ctx, N)
     b0 = b_poly_twist(ctx, 1, 0)  # t - theta
     b1 = b_poly_twist(ctx, 1, 1)  # t - theta^q
@@ -308,8 +308,8 @@ def suite_legendre(q: int, N: int | None = None, *, checks: list) -> dict:
 # -- (e). weight-k expansions ------------------------------------------------------
 
 
-def suite_eis_aexp(q: int, N: int = 24, *, checks: list) -> dict:
-    ctx = Context(q)
+def suite_eis_aexp(ctx: Context, N: int = 24, *, checks: list) -> dict:
+    q = ctx.q
     e1 = eis1(ctx, N)
     eqf = eis_q(ctx, N)
     ek1 = eis_k(ctx, 1, N)
@@ -336,9 +336,9 @@ def suite_eis_aexp(q: int, N: int = 24, *, checks: list) -> dict:
 # -- 7. specializations -------------------------------------------------------------
 
 
-def suite_specialize_petrov(q: int, N: int | None = None,
+def suite_specialize_petrov(ctx: Context, N: int | None = None,
                             *, checks: list) -> dict:
-    ctx = Context(q)
+    q = ctx.q
     if N is None:
         N = q ** 3 + 2
     e1 = eis1(ctx, N)
@@ -377,32 +377,29 @@ def suite_specialize_petrov(q: int, N: int | None = None,
 # -- 8. congruences ------------------------------------------------------------------
 
 
-def suite_congruence(q: int, N: int = 32, *, checks: list) -> dict:
-    ctx = Context(q)
+def suite_congruence(ctx: Context, N: int = 32, *, checks: list) -> dict:
     for p in enumerate_primes(ctx, 2):
         for l in range(len(p) - 1):
             rep = congruence_check(RootContext(ctx, p, l), N)
             _chk(checks, "E = f_zeta mod (theta-zeta) at "
                  f"p={show_tuple(ctx.base_field, p)}, l={l}",
                  rep["ok"], detail=rep["first_failure"])
-    return _report("congruence", q, N, checks)
+    return _report("congruence", ctx.q, N, checks)
 
 
-def suite_vadic(q: int, N: int = 32, *, checks: list) -> dict:
-    ctx = Context(q)
+def suite_vadic(ctx: Context, N: int = 32, *, checks: list) -> dict:
     for p in enumerate_primes(ctx, 2):
         rep = vadic_check(RootContext(ctx, p), 1, N)
         _chk(checks, "p-adic divisibility at "
              f"p={show_tuple(ctx.base_field, p)}, n=1", rep["ok"],
              detail=rep["first_failure"])
-    return _report("vadic", q, N, checks)
+    return _report("vadic", ctx.q, N, checks)
 
 
 # -- 9. hyperderivative/Hecke compatibility -------------------------------------------
 
 
-def suite_hyperderiv_hecke(q: int, N: int = 24, *, checks: list) -> dict:
-    ctx = Context(q)
+def suite_hyperderiv_hecke(ctx: Context, N: int = 24, *, checks: list) -> dict:
     e1 = eis1(ctx, N)
     p = prime_theta(ctx)
     q0 = prime_theta_plus(ctx, 1)
@@ -418,7 +415,7 @@ def suite_hyperderiv_hecke(q: int, N: int = 24, *, checks: list) -> dict:
          rep["correction_matches"])
     rep = hecke_compat_check(e1, p, RootContext(ctx, q0), 1)
     _chk(checks, "n=1 collapses to plain commutation", rep["ok"])
-    return _report("hyperderiv-hecke", q, N, checks)
+    return _report("hyperderiv-hecke", ctx.q, N, checks)
 
 
 # -- 10. oracle equivalences -----------------------------------------------------------
@@ -468,8 +465,8 @@ def _coset_sum(ctx: Context, sums: dict, terms: list, prec) -> USeries:
     return brute
 
 
-def suite_oracles(q: int, N: int | None = None, *, checks: list) -> dict:
-    ctx = Context(q)
+def suite_oracles(ctx: Context, N: int | None = None, *, checks: list) -> dict:
+    q = ctx.q
     if N is None:
         N = q ** 3 + 2
     p = prime_theta(ctx)
@@ -581,9 +578,9 @@ def _random_series(ctx, rng, N, val=0, with_grades=False):
     return USeries(ctx, c, N)
 
 
-def suite_properties(q: int, N: int = 24, seed: int = 7, cases: int = 10,
-                     *, checks: list) -> dict:
-    ctx = Context(q)
+def suite_properties(ctx: Context, N: int = 24, seed: int = 7,
+                     cases: int = 10, *, checks: list) -> dict:
+    q = ctx.q
     rng = random.Random(seed)
 
     ok = True
@@ -725,8 +722,7 @@ def suite_properties(q: int, N: int = 24, seed: int = 7, cases: int = 10,
 # -- 12. the experimental weight q+2 computation -------------------------------------------
 
 
-def suite_experimental(q: int, N: int = 64, *, checks: list) -> dict:
-    ctx = Context(q)
+def suite_experimental(ctx: Context, N: int = 64, *, checks: list) -> dict:
     e1 = eis1(ctx, N)
     hN = gen_h(ctx, N)
     he1 = e1.mul_classical(hN)
@@ -741,7 +737,7 @@ def suite_experimental(q: int, N: int = 64, *, checks: list) -> dict:
                   f"O(u^{T.h1.common_prec(expect.h1)})" if d is None
                   else _fmt_diff(d),
     })
-    rep = _report("weight-q2-experimental", q, N, checks, asserting=False)
+    rep = _report("weight-q2-experimental", ctx.q, N, checks, asserting=False)
     rep["verdict"] = ("agrees with eigenvalue p^2 to the computed precision"
                       if d is None else "differs: " + _fmt_diff(d))
     return rep
@@ -766,26 +762,31 @@ SUITES = {
 
 
 def run_suite(name: str, q: int, N: int | None = None, **kw) -> dict:
-    """Run one suite and return its report.
+    """Run one suite over a fresh `Context(q)` and return its report.
 
-    Every suite appends its checks to the list ``checks`` that this
-    function hands it.  A suite that raises a package error is reported as
-    failed: the checks it recorded before the exception stay, and one more
-    failed check carries the exception.  ``PrecisionError`` propagates,
-    since it asks the caller for a larger truncation rather than refuting
-    a check.
+    Every suite takes that context and appends its checks to the list
+    ``checks`` that this function hands it.  A suite that raises is
+    reported as failed: the checks it recorded before the exception stay,
+    and one more failed check carries the exception.  ``PrecisionError``
+    propagates, since it asks the caller for a larger truncation rather
+    than refuting a check.  However the suite ends, its context's caches
+    are emptied, which breaks the cycle between the context and the
+    cached builds that close over it.
     """
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
     fn = SUITES[name]
+    ctx = Context(q)
     checks = []
     try:
         if N is None:
-            return fn(q, checks=checks, **kw)
-        return fn(q, N, checks=checks, **kw)
+            return fn(ctx, checks=checks, **kw)
+        return fn(ctx, N, checks=checks, **kw)
     except PrecisionError:
         raise
-    except CarlitzVMFError as exc:
+    except Exception as exc:
         _chk(checks, "suite ran to completion", False,
              detail=f"{type(exc).__name__}: {exc}")
-        return _report(name, q, N, checks)
+        return _report(name, ctx.q, N, checks)
+    finally:
+        ctx.clear()

@@ -1,8 +1,10 @@
+import gc
 import json
 import os
 import shutil
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -13,6 +15,7 @@ from carlitz_vmf.context import Context
 from carlitz_vmf.errors import EvaluationPoleError, PrecisionError
 from carlitz_vmf.forms import ClassicalForm, gen_g
 from carlitz_vmf.useries import USeries
+from carlitz_vmf.vmf import eis1
 from conftest import shared_context
 
 
@@ -113,14 +116,14 @@ def test_verify_experimental_is_report_only(capsys):
 
 
 def _raising_suite(exc):
-    def suite(q, N=8, *, checks):
+    def suite(ctx, N=8, *, checks):
         raise exc
     return suite
 
 
 def _passing_suite(name):
-    def suite(q, N=8, *, checks):
-        return verify._report(name, q, N,
+    def suite(ctx, N=8, *, checks):
+        return verify._report(name, ctx.q, N,
                               [{"name": "fine", "ok": True, "detail": None}])
     return suite
 
@@ -143,7 +146,7 @@ def test_run_suite_reports_a_raising_suite_as_failed(monkeypatch, capsys):
 
 
 def test_run_suite_keeps_the_checks_before_an_exception(monkeypatch):
-    def suite(q, N=8, *, checks):
+    def suite(ctx, N=8, *, checks):
         verify._chk(checks, "first identity", True)
         raise EvaluationPoleError("pole")
     monkeypatch.setitem(verify.SUITES, "half", suite)
@@ -154,6 +157,62 @@ def test_run_suite_keeps_the_checks_before_an_exception(monkeypatch):
     assert failed["ok"] is False
     assert failed["detail"] == "EvaluationPoleError: pole"
     assert rep["first_discrepancy"]["check"] == failed["name"]
+
+
+def test_run_suite_reports_any_exception_as_a_failed_check(monkeypatch,
+                                                          capsys):
+    def suite(ctx, N=8, *, checks):
+        verify._chk(checks, "first identity", True)
+        return 1 // 0
+    for name in list(verify.SUITES):
+        monkeypatch.delitem(verify.SUITES, name)
+    monkeypatch.setitem(verify.SUITES, "a-divides", suite)
+    monkeypatch.setitem(verify.SUITES, "b-passes", _passing_suite("b-passes"))
+    rep = verify.run_suite("a-divides", 2)
+    assert rep["ok"] is False
+    first, failed = rep["checks"]
+    assert first == {"name": "first identity", "ok": True, "detail": None}
+    assert failed == {"name": "suite ran to completion", "ok": False,
+                      "detail": "ZeroDivisionError: integer division or "
+                                "modulo by zero"}
+    code, out, _ = run(["verify", "--q", "2", "--suite", "all"], capsys)
+    assert code == 1
+    assert "[FAIL] a-divides" in out and "[PASS] b-passes" in out
+    assert "ZeroDivisionError" in out
+
+
+def test_run_suite_frees_the_suite_context(monkeypatch):
+    """With the cyclic collector off, the context that run_suite hands a
+    suite is gone once run_suite returns: its cached builds, which close
+    over it, are dropped when the suite ends."""
+    contexts = []
+    det = verify.SUITES["det"]
+
+    def spy(ctx, N, *, checks):
+        contexts.append(weakref.ref(ctx))
+        return det(ctx, N, checks=checks)
+    monkeypatch.setitem(verify.SUITES, "det", spy)
+    gc.disable()
+    try:
+        rep = verify.run_suite("det", 2, 24)
+        (ref,) = contexts
+        assert ref() is None
+    finally:
+        gc.enable()
+    assert rep["ok"] is True
+
+
+def test_context_clear_empties_both_caches():
+    """After clear, a build at 20 and a request at 30 give the build at 30:
+    a top left behind from the cleared build at 40 would serve the request
+    from the build at 20, at precision 20."""
+    ctx = Context(2)
+    eis1(ctx, 40)
+    ctx.clear()
+    eis1(ctx, 20)
+    got = ser.vmform_to_json(eis1(ctx, 30))
+    assert got["trunc"] == 30
+    assert got == ser.vmform_to_json(eis1(Context(2), 30))
 
 
 def _asked_truncations(monkeypatch, suite, builder, qs):
@@ -187,9 +246,7 @@ def test_verify_all_continues_past_a_raising_suite(monkeypatch, capsys):
         monkeypatch.delitem(verify.SUITES, name)
     monkeypatch.setitem(verify.SUITES, "a-raises", _raising_suite(
         EvaluationPoleError("pole")))
-    monkeypatch.setitem(verify.SUITES, "b-passes", lambda q, N=8, *, checks: (
-        verify._report("b-passes", q, N,
-                       [{"name": "fine", "ok": True, "detail": None}])))
+    monkeypatch.setitem(verify.SUITES, "b-passes", _passing_suite("b-passes"))
     code, out, _ = run(["verify", "--q", "2", "--suite", "all"], capsys)
     assert code == 1
     assert "[FAIL] a-raises" in out
@@ -206,9 +263,8 @@ def test_verify_precision_error_still_exits_3(monkeypatch, capsys):
     assert "insufficient precision" in err
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
 def test_verify_all_keeps_reports_when_a_suite_needs_more_precision(
-        monkeypatch, tmp_path, capsys, jobs):
+        monkeypatch, tmp_path, capsys):
     """A suite that asks for a larger --trunc does not discard the reports
     of the others: they are printed and written, the short suite is named,
     and the exit code stays 3."""
@@ -220,7 +276,7 @@ def test_verify_all_keeps_reports_when_a_suite_needs_more_precision(
     monkeypatch.setitem(verify.SUITES, "c-passes", _passing_suite("c-passes"))
     rep = tmp_path / "report.json"
     code, out, err = run(["verify", "--q", "2", "--suite", "all",
-                          "--jobs", jobs, "--report", str(rep)], capsys)
+                          "--report", str(rep)], capsys)
     assert code == 3
     assert "[PASS] a-passes" in out and "[PASS] c-passes" in out
     assert "b-short" not in out
@@ -234,18 +290,13 @@ def test_verify_jobs_passes_prime_through(monkeypatch, tmp_path, capsys):
     for name in list(verify.SUITES):
         if name not in ("det", "hecke-eigen"):
             monkeypatch.delitem(verify.SUITES, name)
-    reports = []
-    for jobs in ("1", "2"):
-        rep = tmp_path / f"report-{jobs}.json"
-        code, _, _ = run(["verify", "--q", "3", "--suite", "all",
-                          "--prime", "theta+1", "--jobs", jobs,
-                          "--report", str(rep)], capsys)
-        assert code == 0
-        reports.append(json.loads(rep.read_text()))
-    serial, parallel = reports
-    assert [r["suite"] for r in parallel] == ["det", "hecke-eigen"]
-    assert parallel == serial
-    names = [c["name"] for c in parallel[1]["checks"]]
+    rep = tmp_path / "report.json"
+    code, _, _ = run(["verify", "--q", "3", "--suite", "all",
+                      "--prime", "theta+1", "--report", str(rep)], capsys)
+    assert code == 0
+    reports = json.loads(rep.read_text())
+    assert [r["suite"] for r in reports] == ["det", "hecke-eigen"]
+    names = [c["name"] for c in reports[1]["checks"]]
     assert names and all("p=(1, 1)" in n for n in names)
 
 

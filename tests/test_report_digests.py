@@ -25,6 +25,11 @@ and 5 pin the reports whose series inverses, Y^e divisions and zeta
 ratios run the power-series recurrence on ``Poly`` coefficients; they
 were recorded while ``USeries.inverse`` still ran it on GradedScalars at
 odd q and ``zeta_ratio`` had a loop of its own.
+
+With the q = 4 rows of ``det``, ``generators``, ``hecke-mult-tau``,
+``properties``, ``tau-difference`` and ``weight-q2-experimental``, every
+one of the 14 suites is pinned at q = 4; those six were recorded while
+each suite still built its own context.
 """
 
 import hashlib
@@ -84,6 +89,18 @@ DIGESTS = {
         "9412a79df8b9fd4aad45d9d7110beff2e417624be4efaade085d2fd5a05310f1",
     (4, "legendre", 49):
         "8114f4146e8fbc2d22948f228c5dcc56ba4ae0fe4b2278c47cf295a5ab7eb779",
+    (4, "det", None):
+        "00b5af7f93c109d3ce9f53f9d5347c80550ba341ce9cdf73b5f947beca1841f6",
+    (4, "generators", None):
+        "7c3884d9179dd10c362f5b88dcb24f1daa89695c384671942e15cc44f6fa6270",
+    (4, "hecke-mult-tau", None):
+        "446e99e6f9db847156f5a9fee1d10569f92d1ede15be105297eb9ea7b8d848a9",
+    (4, "properties", None):
+        "510062385bef388143a781d10014675fbf4746c7a6b02d775d8bc1b1cd3425e0",
+    (4, "tau-difference", None):
+        "a932132fbb59eb0b8f38259ec3d9489eaeb1fb9345d2a109668f465771840aeb",
+    (4, "weight-q2-experimental", None):
+        "4ff2f9ba842c829b87b0820ece8b0d618f827ddbf771f37060b5205fcc8f0c4e",
     (5, "oracles", None):
         "bfba1f909677b623de16888af30ba3220625d5b7ca3e88739cf3f9125a7074c7",
     (5, "hecke-eigen", None):

@@ -43,7 +43,8 @@ def test_series_round_trip(ctx):
     assert back.prec is None and back.eq_to_prec(exact)
 
 
-@pytest.mark.parametrize("q", [2, 3, 11], ids=lambda q: f"q{q}")
+# 263 is past the listed prime fields, and its codes run to three digits
+@pytest.mark.parametrize("q", [2, 3, 11, 263], ids=lambda q: f"q{q}")
 def test_vmform_round_trip_through_envelope(q):
     ctx = shared_context(q)
     e1 = eis1(ctx, 8)

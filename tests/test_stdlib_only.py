@@ -10,6 +10,7 @@ import ast
 import glob
 import os
 import re
+import subprocess
 import sys
 
 import pytest
@@ -43,6 +44,24 @@ def test_imports_are_stdlib(path):
     outside = [(line, name) for line, name in _absolute_imports(path)
                if name not in sys.stdlib_module_names]
     assert not outside, f"non-stdlib imports in {path}: {outside}"
+
+
+def test_importing_the_package_starts_no_process_pool():
+    """Importing every layer, in a fresh interpreter, loads neither
+    `multiprocessing` nor `concurrent.futures`: the engine runs in one
+    process, and their import would cost every CLI start."""
+    names = ["carlitz_vmf." + os.path.basename(p)[:-3] for p in MODULES
+             if os.path.basename(p) != "__init__.py"]
+    script = ("import importlib, sys\n"
+              "sys.path.insert(0, sys.argv[1])\n"
+              "for name in sys.argv[2:]:\n"
+              "    importlib.import_module(name)\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] in\n"
+              "             ('multiprocessing', 'concurrent')))\n")
+    out = subprocess.run(
+        [sys.executable, "-B", "-c", script, os.path.join(ROOT, "src")]
+        + names, capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def _unused_imports(path):

@@ -37,6 +37,25 @@ def test_laurent_inverse_of_minus_u():
     assert inv.prec == 3
 
 
+def test_inverse_claims_no_more_than_the_series_carries():
+    """At q = 2, 1/u(theta z) = C_theta(1/u) = u^-2 + theta u^-1 exactly.
+    Known below u^5, u(theta z) has valuation 2, so its inverse is known
+    only below u^(5 - 2 - 2) = u^1, whatever larger target is asked; a
+    claim past that would read theta^3 at u^1 from the missing terms."""
+    ctx = Context(2)
+    exact = {-2: GradedScalar.one(ctx.ring),
+             -1: GradedScalar.from_poly(ctx.ring.theta)}
+    S = u_scale(ctx, (0, 1), 5)
+    assert S.val() == 2
+    for inv in (S.inverse(10), USeries.monomial(ctx, -1).substitute(S)):
+        assert inv.prec == 1
+        assert inv.c == exact
+    assert S.inverse(2).prec == 0
+    full = USeries.monomial(ctx, -1).substitute(u_scale(ctx, (0, 1), 40))
+    assert full.prec == 8
+    assert full.c == exact
+
+
 def test_division_by_mixed_grade_leading_coefficient_fails(ctx3):
     ctx = ctx3
     mixed = GradedScalar.one(ctx.ring) + GradedScalar.from_poly(ctx.ring.one, om=1)
@@ -496,7 +515,7 @@ def test_packed_inverse_matches_oracle(name):
         f = _poly_series(ctx, rng, -2, 8, 8, grade=(2, -1))
         f = USeries(ctx, {**f.c, -3: GradedScalar.from_poly(R.const(lead),
                                                               2, -1)}, 8)
-        _assert_inverse(f, 12)
+        _assert_inverse(f, 11)
 
 
 def test_packed_inverse_with_non_unit_lead_in_f4():
