@@ -10,6 +10,19 @@ the F_q context it extends as ``parent``, and the F_q-rational series
 (``u_scale``'s u(a z) and ``gen_E``'s E) are built once there and only
 re-ringed over F_{q^d}.
 
+The Carlitz module is defined over F_p[theta], so sigma: x -> x^p on the
+F_q coefficients of a monic a (theta, t and exponents fixed) sends u(a z)
+to u(sigma(a) z) and each Eisenstein term of a to that of sigma(a).  On
+an F_q context with e > 1 and no parent, ``orbits_below(N)`` groups the
+monics below N by orbit size, {s: representatives}, each representative
+the member of its orbit that comes first in ``monics``, and
+``orbit_rep(a)`` gives (r, j) with sigma^j(r) = a.  An orbit has size s
+dividing e; the F_p-rational monics have size 1.  ``u_scale`` solves
+once per orbit and the monic sums add the s conjugates of a sum over
+representatives (``useries.orbit_sum``).  Every other context has one
+class of size 1 holding all the monics: the character sums over the
+F_{q^d} contexts of ``specialize`` are not Galois-equivariant.
+
 Two caches sit on a context.  ``memo(key, build)`` keeps one value per
 key.  ``memo_upto(key, N, build)`` keeps one value per key for the
 truncated series that a precision N names: it serves a request at N from
@@ -124,6 +137,56 @@ class Context:
             out.extend(self.monics(d))
             d += 1
         return out
+
+    def sigma(self, j: int) -> tuple:
+        """sigma^j, sigma: x -> x^p, as a table over the codes of F_q."""
+        return self.memo(("sigma", j), lambda: tuple(
+            self.base_field.frobenius(x, j) for x in range(self.q)))
+
+    def _conjugates(self, a) -> list:
+        """The orbit a, sigma(a), ..., sigma^(s-1)(a) of a monic; s
+        divides e."""
+        frob = self.sigma(1)
+        out = [a]
+        b = tuple(frob[x] for x in a)
+        while b != a:
+            out.append(b)
+            b = tuple(frob[x] for x in b)
+        return out
+
+    def _has_orbits(self) -> bool:
+        return (self.parent is None and self.coeff_field is self.base_field
+                and self.e > 1)
+
+    def orbit_rep(self, a):
+        """(r, j) with sigma^j(r) = a, r the member of a's orbit that comes
+        first in `monics`; (a, 0) on a context without orbits."""
+        if not self._has_orbits():
+            return a, 0
+        conj = self._conjugates(a)
+        digits = self.base_field.digits
+        i = min(range(len(conj)), key=lambda i: [digits(x) for x in conj[i]])
+        return conj[i], -i % len(conj)
+
+    def orbits_below(self, bound_val: int) -> dict:
+        """{orbit size: representatives} over ``monics_below(bound_val)``,
+        each list in the order of `monics`.  Only an F_q context with
+        e > 1 and no parent has orbits; every other context gets one class
+        of size 1 holding all the monics."""
+        if not self._has_orbits():
+            return {1: self.monics_below(bound_val)}
+
+        def build():
+            out: dict = {}
+            seen = set()
+            for a in self.monics_below(bound_val):
+                if a not in seen:
+                    conj = self._conjugates(a)
+                    seen.update(conj)
+                    out.setdefault(len(conj), []).append(a)
+            return out
+
+        return self.memo(("orbits_below", bound_val), build)
 
     def poly_space(self, d: int):
         """A(d): all polynomials of degree < d (including 0), lex ordered."""

@@ -19,7 +19,8 @@ from .errors import NotInSpanError, NotIrreducibleError, PrecisionError
 from .fields import show_tuple
 from .polys import Poly, RatFunc
 from .scalars import GradedScalar
-from .useries import USeries, dz, embed_series, goss_series, scale_arg
+from .useries import (USeries, dz, embed_series, goss_series, orbit_sum,
+                      scale_arg)
 
 
 class ClassicalForm:
@@ -73,18 +74,27 @@ def a_expansion(ctx: Context, coeff_fn, k: int, N: int) -> USeries:
     """sum over monic a of coeff_fn(a) * G_k(u(a z)), exact below u^N.
 
     ``coeff_fn`` takes the coefficient tuple of a monic a and returns a
-    GradedScalar (or None to skip the term).
+    GradedScalar (or None to skip the term).  The sum runs over one
+    representative per Frobenius orbit (``Context.orbits_below``), one
+    ``lincomb`` per orbit size, and ``orbit_sum`` adds the conjugates.
+    So on a context with orbits ``coeff_fn`` must be Galois-equivariant:
+    sigma(coeff_fn(a)) = coeff_fn(sigma(a)) for sigma: x -> x^p on the F_q
+    coefficients.  1, a(theta)^k and a(t) are; so is G_k(u(a z)), since
+    the Carlitz module and the period lattice are defined over F_p[theta].
     """
     if k < 1:
         raise ValueError("k must be positive")
     L = period_lattice(ctx)
-    terms = []
-    for a in ctx.monics_below(N):
-        c = coeff_fn(a)
-        if c is None or c.is_zero():
-            continue
-        terms.append((c, goss_series(ctx, L, k, a, N), 0))
-    return USeries.lincomb(ctx, terms, N)
+    sums = {}
+    for s, reps in ctx.orbits_below(N).items():
+        terms = []
+        for a in reps:
+            c = coeff_fn(a)
+            if c is None or c.is_zero():
+                continue
+            terms.append((c, goss_series(ctx, L, k, a, N), 0))
+        sums[s] = USeries.lincomb(ctx, terms, N)
+    return orbit_sum(ctx, sums, N)
 
 
 def gen_E(ctx: Context, N: int) -> ClassicalForm:

@@ -496,7 +496,9 @@ def quotients(nums, den: USeries) -> list:
 def u_scale(ctx: Context, a, prec: int) -> USeries:
     """The series of u(a z): invert the Carlitz action on 1/u.
 
-    Built once per monic through ``ctx.memo_upto``; on a context over
+    Built once per monic through ``ctx.memo_upto``: solved for the
+    representative r of a's Frobenius orbit (``Context.orbit_rep``) and
+    read as ``conjugate(u(r z), j)`` for a = sigma^j(r); on a context over
     F_{q^d} with an F_q parent it is the parent's series read through
     ``embed_series``."""
     if not a or a[-1] != ctx.base_field.one:
@@ -508,6 +510,9 @@ def u_scale(ctx: Context, a, prec: int) -> USeries:
     def build():
         if ctx.parent is not None:
             return embed_series(ctx, u_scale(ctx.parent, a, prec))
+        r, j = ctx.orbit_rep(a)
+        if j:
+            return conjugate(u_scale(ctx, r, prec), j)
         Q = ctx.q ** d
         coeffs = ctx.carlitz_coeffs(a)
         # C_a(1/u) = u^(-Q) * sum_i [a]_i u^(Q - q^i)
@@ -522,6 +527,18 @@ def u_scale(ctx: Context, a, prec: int) -> USeries:
     return ctx.memo_upto(("u_scale", a), prec, build)
 
 
+def _map_polys(ctx: Context, f: USeries, fn) -> USeries:
+    """f over ctx with fn applied to the numerator and denominator of every
+    fraction of every coefficient; exponents, grades and precision stay.
+    No gcd is taken, so fn must keep each fraction canonical, as a field
+    embedding or automorphism applied to the coefficients does."""
+    ring = ctx.ring
+    return USeries(ctx, {
+        n: GradedScalar(ring, {g: RatFunc(fn(r.num), fn(r.den), reduce=False)
+                               for g, r in c.terms.items()})
+        for n, c in f.c.items()}, f.prec)
+
+
 def embed_series(ctx: Context, f: USeries) -> USeries:
     """A series over the F_q context ``ctx.parent`` read over ctx's field
     F_{q^d}.  An element of F_q has the same code in F_{q^d}, so each
@@ -529,11 +546,36 @@ def embed_series(ctx: Context, f: USeries) -> USeries:
     fraction keeps its form with no gcd, since a gcd over F_q is one over
     F_{q^d} and a denominator whose lead is 1 keeps that lead."""
     ring = ctx.ring
-    return USeries(ctx, {
-        n: GradedScalar(ring, {g: RatFunc(Poly(ring, r.num.c),
-                                          Poly(ring, r.den.c), reduce=False)
-                               for g, r in c.terms.items()})
-        for n, c in f.c.items()}, f.prec)
+    return _map_polys(ctx, f, lambda p: Poly(ring, p.c))
+
+
+def conjugate(f: USeries, j: int) -> USeries:
+    """sigma^j(f) for sigma: x -> x^p on the F_q coefficients only, on an
+    F_q context: theta, t, the exponents of u and the grades stay.  An
+    automorphism of F_q fixes 1 and keeps a gcd trivial, so every fraction
+    stays canonical.  Not ``_frobenius``, the p-power map, which also
+    scales exponents."""
+    if not j:
+        return f
+    ctx = f.ctx
+    sig = ctx.sigma(j)
+    return _map_polys(ctx, f, lambda p: Poly(
+        p.ring, {m: sig[v] for m, v in p.c.items()}))
+
+
+def orbit_sum(ctx: Context, sums: dict, prec: int) -> USeries:
+    """sum over s of sum_{j<s} sigma^j(sums[s]), below prec.
+
+    ``sums[s]`` is a monic sum taken over the representatives of the
+    Frobenius orbits of size s (``Context.orbits_below``); when each term
+    satisfies sigma(term(a)) = term(sigma(a)), this is the sum over every
+    monic.  A single class of size 1 (every context without orbits) is
+    that sum as it is."""
+    if list(sums) == [1]:
+        return sums[1]
+    return USeries.lincomb(ctx, [(None, conjugate(f, j), 0)
+                                 for s, f in sums.items() for j in range(s)],
+                           prec)
 
 
 def scale_arg(f: USeries, a, prec: int | None = None) -> USeries:

@@ -33,7 +33,8 @@ from .forms import (ClassicalForm, a_expansion, gen_goss_eis, gen_h, gh_basis,
                     gh_monomials, solve_in_span)
 from .polys import RatFunc
 from .scalars import GradedScalar
-from .useries import USeries, goss_series, quotients, scale_arg, trace_div
+from .useries import (USeries, goss_series, orbit_sum, quotients, scale_arg,
+                      trace_div)
 
 
 def regular_weight_ok(ctx: Context, k: int, m: int) -> bool:
@@ -181,17 +182,26 @@ def _eis_sums(ctx: Context, k: int, N: int):
     monic a, both to O(u^N): the first coordinate of the weight-k series
     and the monic-indexed part of its second.
 
+    Both terms are Galois-equivariant (a(t), and `_chi_terms` and the
+    Goss polynomials lie over F_p[theta, t]), so each sum runs over one
+    representative per Frobenius orbit and ``orbit_sum`` adds the
+    conjugates, as in ``forms.a_expansion``.
+
     chi_correction(a) has a pole of order s = q^(deg a - 1), so u(a z) is
     asked to O(u^(N + s)) before any O(u^N) request: ``u_scale`` then
-    inverts once per monic and serves O(u^N) from its cache."""
+    inverts once per orbit and serves O(u^N) from its cache."""
     L = period_lattice(ctx)
-    h1, chi = [], []
-    for a in ctx.monics_below(N):
-        cc = chi_correction(ctx, a).c
-        G = goss_series(ctx, L, k, a, N - min(cc, default=0))  # min(cc) = -s
-        h1.append((-GradedScalar.from_poly(ctx.chi(a)), G, 0))
-        chi += [(c, G, n) for n, c in cc.items()]
-    return USeries.lincomb(ctx, h1, N), USeries.lincomb(ctx, chi, N)
+    h1, chi = {}, {}
+    for size, reps in ctx.orbits_below(N).items():
+        h1_s, chi_s = [], []
+        for a in reps:
+            cc = chi_correction(ctx, a).c
+            G = goss_series(ctx, L, k, a, N - min(cc, default=0))  # min(cc) = -s
+            h1_s.append((-GradedScalar.from_poly(ctx.chi(a)), G, 0))
+            chi_s += [(c, G, n) for n, c in cc.items()]
+        h1[size] = USeries.lincomb(ctx, h1_s, N)
+        chi[size] = USeries.lincomb(ctx, chi_s, N)
+    return orbit_sum(ctx, h1, N), orbit_sum(ctx, chi, N)
 
 
 def eis1(ctx: Context, N: int) -> VMForm:

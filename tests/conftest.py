@@ -12,6 +12,24 @@ def shared_context(q: int) -> Context:
     return _CTX[q]
 
 
+def frobenius_orbits(ctx: Context, monics) -> list:
+    """The orbits of x -> x^p, applied to the coefficients, among the given
+    monics, each as the list a, sigma(a), ... from its first monic; taken
+    from ``field.frobenius`` alone, not from ``Context.orbits_below``.
+    Over a prime field every orbit is one monic."""
+    frob = ctx.base_field.frobenius
+    seen, out = set(), []
+    for a in monics:
+        if a not in seen:
+            orbit = []
+            while a not in seen:
+                seen.add(a)
+                orbit.append(a)
+                a = tuple(frob(x) for x in a)
+            out.append(orbit)
+    return out
+
+
 @pytest.fixture(params=[2, 3], ids=["q2", "q3"])
 def ctx(request):
     return shared_context(request.param)

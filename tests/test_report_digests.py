@@ -30,6 +30,10 @@ With the q = 4 rows of ``det``, ``generators``, ``hecke-mult-tau``,
 ``properties``, ``tau-difference`` and ``weight-q2-experimental``, every
 one of the 14 suites is pinned at q = 4; those six were recorded while
 each suite still built its own context.
+
+The q = 8 rows of ``hecke-eigen`` and ``specialize-petrov`` pin two suites
+whose monic sums run over Frobenius orbits; they were recorded while
+every monic was still solved and summed on its own.
 """
 
 import hashlib
@@ -111,6 +115,10 @@ DIGESTS = {
         "004b650391464abb4f5eee9c6083d1f7914b5d225969d98ed591dd64dc0bfc9e",
     (8, "eisenstein-aexp", None):
         "dc1282e6c567ee4ad855696e72e81fce1adb8def5e7ea4c3be9ebe7f3575de80",
+    (8, "hecke-eigen", None):
+        "110d7bca2ee9fc7ebfe326506e09d99aedcd276b1032ca6276f7f97b50cc7eff",
+    (8, "specialize-petrov", None):
+        "cba6fd9eced8227ecb9a717354693645165f6b2a23a16a041117db6b3230623d",
     (9, "congruence", None):
         "190ad39736b2fcb9f9444af5c95b0362c1ef6de9d0d7c92bf01e55805ee7a2e1",
     (9, "det", None):

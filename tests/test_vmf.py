@@ -14,7 +14,7 @@ from carlitz_vmf.vmf import (VMForm, chi_correction, det_pair, eis1, eis_k,
                              eis_q, hecke, lambda_1, lambda_q, legendre_fstar,
                              structure_decompose, tau_omega_inv, tau_vmf,
                              untau_vmf)
-from conftest import shared_context
+from conftest import frobenius_orbits, shared_context
 
 
 def theta(ctx):
@@ -321,7 +321,8 @@ def test_builders_match_term_by_term_sums(q, N):
 ], ids=["eis1-q2", "eis_q-q3", "eis_k4-q4", "eis_k5-q3"])
 def test_one_inverse_per_monic(monkeypatch, q, N, build):
     """u_scale is asked for the higher precision first, so a builder on a
-    fresh context inverts once per monic of degree >= 1 below N."""
+    fresh context inverts once per Frobenius orbit of monics of degree
+    >= 1 below N (once per monic over a prime field)."""
     calls = []
     inverse = USeries.inverse
 
@@ -332,7 +333,8 @@ def test_one_inverse_per_monic(monkeypatch, q, N, build):
     monkeypatch.setattr(USeries, "inverse", counted)
     ctx = Context(q)
     build(ctx, N)
-    assert len(calls) == sum(1 for a in ctx.monics_below(N) if len(a) > 1)
+    assert len(calls) == len(frobenius_orbits(
+        ctx, [a for a in ctx.monics_below(N) if len(a) > 1]))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -374,8 +376,9 @@ def test_chi_terms_sum_to_chi_correction(q):
                          ids=["q2-k3", "q3-k5", "q4-k7"])
 def test_eis_k_evaluates_goss_once_per_monic(monkeypatch, q, k, N):
     """On a fresh context, eis_k(k) evaluates G_k at u(a z) once for each
-    monic a below N: the first coordinate and the chi-sum of the second
-    come from the same evaluations."""
+    Frobenius orbit of monics a below N (once per monic over a prime
+    field): the first coordinate and the chi-sum of the second come from
+    the same evaluations."""
     seen = []
     real = goss_series
 
@@ -388,4 +391,4 @@ def test_eis_k_evaluates_goss_once_per_monic(monkeypatch, q, k, N):
         monkeypatch.setattr(mod, "goss_series", counted)
     ctx = Context(q)
     eis_k(ctx, k, N)
-    assert len(seen) == len(ctx.monics_below(N))
+    assert len(seen) == len(frobenius_orbits(ctx, ctx.monics_below(N)))
