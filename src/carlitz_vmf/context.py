@@ -18,8 +18,9 @@ monics below N by orbit size, {s: representatives}, each representative
 the member of its orbit that comes first in ``monics``, and
 ``orbit_rep(a)`` gives (r, j) with sigma^j(r) = a.  An orbit has size s
 dividing e; the F_p-rational monics have size 1.  ``u_scale`` solves
-once per orbit and the monic sums add the s conjugates of a sum over
-representatives (``useries.orbit_sum``).  Every other context has one
+once per orbit and the monic sums take Tr_s = sum_{j<s} sigma^j of the
+sum over the representatives of each size s, all sizes in one
+accumulation (``useries.orbit_sum``).  Every other context has one
 class of size 1 holding all the monics: the character sums over the
 F_{q^d} contexts of ``specialize`` are not Galois-equivariant.
 

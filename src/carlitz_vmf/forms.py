@@ -75,8 +75,9 @@ def a_expansion(ctx: Context, coeff_fn, k: int, N: int) -> USeries:
 
     ``coeff_fn`` takes the coefficient tuple of a monic a and returns a
     GradedScalar (or None to skip the term).  The sum runs over one
-    representative per Frobenius orbit (``Context.orbits_below``), one
-    ``lincomb`` per orbit size, and ``orbit_sum`` adds the conjugates.
+    representative per Frobenius orbit (``Context.orbits_below``), and
+    ``orbit_sum`` adds each orbit size's terms and their conjugates in one
+    accumulation.
     So on a context with orbits ``coeff_fn`` must be Galois-equivariant:
     sigma(coeff_fn(a)) = coeff_fn(sigma(a)) for sigma: x -> x^p on the F_q
     coefficients.  1, a(theta)^k and a(t) are; so is G_k(u(a z)), since
@@ -85,16 +86,15 @@ def a_expansion(ctx: Context, coeff_fn, k: int, N: int) -> USeries:
     if k < 1:
         raise ValueError("k must be positive")
     L = period_lattice(ctx)
-    sums = {}
+    classes = {}
     for s, reps in ctx.orbits_below(N).items():
-        terms = []
+        terms = classes[s] = []
         for a in reps:
             c = coeff_fn(a)
             if c is None or c.is_zero():
                 continue
             terms.append((c, goss_series(ctx, L, k, a, N), 0))
-        sums[s] = USeries.lincomb(ctx, terms, N)
-    return orbit_sum(ctx, sums, N)
+    return orbit_sum(ctx, classes, N)
 
 
 def gen_E(ctx: Context, N: int) -> ClassicalForm:

@@ -486,14 +486,31 @@ class _F2Packer:
                     v ^= d << s
         return Poly(ring, c), [rows, terms, None]
 
-    def _times_x(self, r):
+    def _grow(self, r):
+        """Widen ``ones`` (bit 0 of every slot) and ``low`` (the slot bits
+        below the top one) to cover the int r."""
         if r.bit_length() > self.bits:
             e = self.e
             self.bits = 2 * e * -(-r.bit_length() // e)
             self.ones = ((1 << self.bits) - 1) // ((1 << e) - 1)
             self.low = self.ones * ((1 << (e - 1)) - 1)
+
+    def _times_x(self, r):
+        self._grow(r)
         return ((r & self.low) << 1) ^ (
             ((r >> (self.e - 1)) & self.ones) * self.red)
+
+    def map_slots(self, r, images):
+        """The row r with an F_2-linear map applied to every slot: bit k of
+        a slot stands for x^k, which the map sends to the code images[k].
+        Each bit plane is spread over its slots by one product with an
+        image below 2^e, so slots never carry into each other."""
+        self._grow(r)
+        ones, out = self.ones, 0
+        for k, c in enumerate(images):
+            if c:
+                out ^= ((r >> k) & ones) * c
+        return out
 
     def multiples(self, a):
         """Entry d: the rows of packed a times the element of code d."""

@@ -10,15 +10,22 @@ Products, scalings and the monic-indexed sums of the form builders are
 all linear combinations sum c * u^k * f, taken by one kernel,
 ``USeries.lincomb``.  Over F_2 and its extensions F_2[x]/(m) (the Conway
 fields F_{2^e} and the residue fields of F_2[theta]) it takes a packed
-path when every series is a polynomial series of one grade, every scalar
-a polynomial of one grade, and the grades add up alike in every term:
-each series is packed once into bitmask rows (``polys._F2Packer``),
-coefficient products are XORs of shifted rows accumulated per output
-exponent across all terms, and one ``Poly`` is built per output
-coefficient.  Odd characteristic, a denominator, mixed grades or a tower
-over F_4 stay on the schoolbook loop; both give the same coefficients.
-The packed codec reads a coefficient's code as its F_2 digits, which it
-is in every extension of F_2.
+path when every series is a polynomial series of one grade and every
+scalar a polynomial of one grade: each series is packed once into
+bitmask rows (``polys._F2Packer``), coefficient products are XORs of
+shifted rows accumulated per grade and output exponent across all terms,
+so terms of different grades share one pass, and one ``Poly`` is built
+per grade and output coefficient.  Odd characteristic, a denominator, a
+series or scalar that mixes grades, or a tower over F_4 stay on the
+schoolbook loop; both give the same coefficients.  The packed codec
+reads a coefficient's code as its F_2 digits, which it is in every
+extension of F_2.
+
+The monic sums over Frobenius orbits (``orbit_sum``) take the trace
+Tr_s = sum_{j<s} sigma^j of each orbit size's sum on those rows: sigma is
+F_2-linear on a slot's e bits, so Tr_s maps every slot by the images of
+x^0 .. x^(e-1), and all sizes accumulate into one total that is unpacked
+once per output coefficient.
 
 Series inverses and the divisions below are one recurrence, y with
 f y = x (``polys._solve``).  A series of polynomials of one grade with a
@@ -156,10 +163,7 @@ class USeries:
         every other case runs the schoolbook loop below, the one loop for
         products and sums of scaled series.
         """
-        P = math.inf if prec is None else prec
-        for _, f, k in terms:
-            if f.prec is not None and f.prec + k < P:
-                P = f.prec + k
+        P = _lincomb_prec(terms, prec)
         out = _packed_lincomb(ctx, terms, P)
         if out is None:
             out = {}
@@ -278,6 +282,14 @@ class USeries:
                 out[n] = v
         return USeries(self.ctx, out, self.prec if prec is None else prec)
 
+    def grade_part(self, pi: int, om: int):
+        """The (pi, om) part of every coefficient, at the same precision."""
+        g = (pi, om)
+        ring = self.ctx.ring
+        return USeries(self.ctx, {n: GradedScalar(ring, {g: c.terms[g]})
+                                  for n, c in self.c.items() if g in c.terms},
+                       self.prec)
+
     def tau(self):
         """Frobenius twist: coefficients tau'd, u^n -> u^(qn)."""
         q = self.ctx.q
@@ -372,21 +384,24 @@ def _poly_grade(coeffs) -> tuple | None:
     return grade
 
 
-def _packed_lincomb(ctx: Context, terms, prec) -> dict | None:
-    """The coefficients below prec of ``USeries.lincomb(ctx, terms)``
-    through the packed F_2 codec, or None when the field is not F_2 or an
-    extension of it, when a series has a fraction or mixes grades, when a
-    scalar is not a polynomial of one grade, or when the grades of scalar
-    and series do not add up alike in every term (the schoolbook takes
-    those).  Each distinct series is packed once, each scalar once per
-    term, and each output coefficient is unpacked once."""
-    ring = ctx.ring
-    packer = _f2_packer(ring.field)
-    if packer is None:
-        return None
+def _lincomb_prec(terms, prec) -> float:
+    """min(prec, f.prec + k over every (c, f, k) in terms); inf if none."""
+    P = math.inf if prec is None else prec
+    for _, f, k in terms:
+        if f.prec is not None and f.prec + k < P:
+            P = f.prec + k
+    return P
+
+
+def _packed_sums(packer, terms, prec, acc: dict) -> dict | None:
+    """Accumulate sum c * u^k * f over the terms below prec into packed
+    rows, ``acc[grade][n][j]`` for the grade of c f, and return acc; or
+    None, with acc untouched, when a series has a fraction or mixes
+    grades, or when a scalar is not a polynomial of one grade.  Terms of
+    different grades go to different tables.  Each distinct series is
+    packed once and each scalar once per term."""
     series: dict = {}
     work = []
-    grade = None
     for c, f, k in terms:
         if not f.c or (c is not None and not c.terms):
             continue
@@ -409,15 +424,10 @@ def _packed_lincomb(ctx: Context, terms, prec) -> dict | None:
                 return None
             g = (g[0] + gc[0], g[1] + gc[1])
             c = None if r.num.is_one() else r.num
-        if grade is None:
-            grade = g
-        elif g != grade:
-            return None
-        work.append((c, s, k))
+        work.append((c, s, k, g))
     # a series is packed at its first term, below prec minus its lowest
     # shift, and let go after its last, so few packed series live at once
-    acc: dict = {}
-    for i, (c, s, k) in enumerate(work):
+    for i, (c, s, k, g) in enumerate(work):
         f, gf, kmin, packed, last = s
         if packed is None:
             packed = s[3] = [(n, packer.pack(fc.terms[gf].num))
@@ -425,24 +435,51 @@ def _packed_lincomb(ctx: Context, terms, prec) -> dict | None:
         if i == last:
             s[3] = None
         a = None if c is None else packer.pack(c)
+        table = acc.get(g)
+        if table is None:
+            table = acc[g] = {}
         for n, b in packed:
             n += k
             if n >= prec:
                 break
-            rows = acc.get(n)
+            rows = table.get(n)
             if rows is None:
-                rows = acc[n] = {}
+                rows = table[n] = {}
             if a is None:
                 for j, r in b[0]:
                     rows[j] = rows.get(j, 0) ^ r
             else:
                 packer.mul_into(rows, a, b)
-    out = {}
-    for n, rows in acc.items():
-        p = packer.unpack(ring, [(j, r) for j, r in rows.items() if r])[0]
-        if not p.is_zero():
-            out[n] = GradedScalar(ring, {grade: RatFunc(p, None, reduce=False)})
+    return acc
+
+
+def _unpack_sums(ring, packer, acc: dict) -> dict:
+    """{n: GradedScalar} from the packed rows ``acc[grade][n][j]``, one
+    ``Poly`` per grade and output exponent; zero sums are left out."""
+    out: dict = {}
+    for g, table in acc.items():
+        for n, rows in table.items():
+            p = packer.unpack(ring, [(j, r) for j, r in rows.items() if r])[0]
+            if not p.is_zero():
+                c = RatFunc(p, None, reduce=False)
+                if n in out:
+                    out[n].terms[g] = c
+                else:
+                    out[n] = GradedScalar(ring, {g: c})
     return out
+
+
+def _packed_lincomb(ctx: Context, terms, prec) -> dict | None:
+    """The coefficients below prec of ``USeries.lincomb(ctx, terms)``
+    through the packed F_2 codec (``_packed_sums``), or None when the
+    field is not F_2 or an extension of it, or when the packed sums
+    decline the terms (the schoolbook takes those).  Each output
+    coefficient is unpacked once per grade."""
+    packer = _f2_packer(ctx.ring.field)
+    if packer is None:
+        return None
+    acc = _packed_sums(packer, terms, prec, {})
+    return None if acc is None else _unpack_sums(ctx.ring, packer, acc)
 
 
 def _poly_solve(ring, x: dict, f: list, rel: int, code: int = 1) -> dict:
@@ -563,19 +600,53 @@ def conjugate(f: USeries, j: int) -> USeries:
         p.ring, {m: sig[v] for m, v in p.c.items()}))
 
 
-def orbit_sum(ctx: Context, sums: dict, prec: int) -> USeries:
-    """sum over s of sum_{j<s} sigma^j(sums[s]), below prec.
+def orbit_sum(ctx: Context, classes: dict, prec: int) -> USeries:
+    """sum over s of Tr_s(sum c * u^k * f over classes[s]), below prec,
+    with Tr_s = sum_{j<s} sigma^j and the sums as in ``USeries.lincomb``.
 
-    ``sums[s]`` is a monic sum taken over the representatives of the
+    ``classes[s]`` lists the (c, f, k) terms of the representatives of the
     Frobenius orbits of size s (``Context.orbits_below``); when each term
     satisfies sigma(term(a)) = term(sigma(a)), this is the sum over every
     monic.  A single class of size 1 (every context without orbits) is
-    that sum as it is."""
-    if list(sums) == [1]:
-        return sums[1]
-    return USeries.lincomb(ctx, [(None, conjugate(f, j), 0)
-                                 for s, f in sums.items() for j in range(s)],
-                           prec)
+    one ``lincomb``.  Over F_{2^e} each class is accumulated into packed
+    rows, mapped slot by slot by Tr_s (F_2-linear, so
+    ``_F2Packer.map_slots`` with the images of the x^k), and XORed into
+    one total, which is unpacked once per output coefficient.  Other
+    fields, and terms the packed sums decline, take one ``lincomb`` per
+    class and add its s conjugates."""
+    if list(classes) == [1]:
+        return USeries.lincomb(ctx, classes[1], prec)
+    P = _lincomb_prec([t for terms in classes.values() for t in terms], prec)
+    packer = _f2_packer(ctx.ring.field)
+    if packer is not None:
+        total: dict = {}
+        for s, terms in classes.items():
+            acc = _packed_sums(packer, terms, P, total if s == 1 else {})
+            if acc is None:
+                break
+            if s == 1:
+                continue
+            images = [0] * packer.e         # Tr_s(x^k), added as codes
+            for j in range(s):
+                sig = ctx.sigma(j)
+                for k in range(packer.e):
+                    images[k] ^= sig[1 << k]
+            for g, table in acc.items():
+                out = total.setdefault(g, {})
+                for n, rows in table.items():
+                    row_out = out.setdefault(n, {})
+                    for j, r in rows.items():
+                        row_out[j] = row_out.get(j, 0) ^ packer.map_slots(
+                            r, images)
+        else:
+            return USeries(ctx, _unpack_sums(ctx.ring, packer, total),
+                           None if P == math.inf else P)
+    out = USeries.zero(ctx, prec)
+    for s, terms in classes.items():
+        f = USeries.lincomb(ctx, terms, prec)
+        for j in range(s):       # one conjugate alive at a time
+            out = out + conjugate(f, j)
+    return out
 
 
 def scale_arg(f: USeries, a, prec: int | None = None) -> USeries:

@@ -691,13 +691,13 @@ def suite_properties(ctx: Context, N: int = 24, seed: int = 7,
     _chk(checks, "structure decomposition round-trip", ok)
 
     # precision soundness: the N-truncation of the 2N pipeline equals the N run
-    e1_N = eis1(Context(q), N)
-    e1_2N = eis1(Context(q), 2 * N)
+    # (two fresh contexts, so neither run reads the other's builds)
+    cN, c2N = Context(q), Context(q)
+    e1_N, e1_2N = eis1(cN, N), eis1(c2N, 2 * N)
     ok = (e1_2N.h1.truncate(N).eq_to_prec(e1_N.h1)
           and e1_2N.h3.truncate(N).eq_to_prec(e1_N.h3))
-    cN, c2N = Context(q), Context(q)
-    TN = hecke(cN, prime_theta(cN), eis1(cN, N))
-    T2N = hecke(c2N, prime_theta(c2N), eis1(c2N, 2 * N))
+    TN = hecke(cN, prime_theta(cN), e1_N)
+    T2N = hecke(c2N, prime_theta(c2N), e1_2N)
     ok = ok and T2N.h1.truncate(int(TN.h1._p())).eq_to_prec(TN.h1)
     ok = ok and T2N.h3.truncate(int(TN.h3._p())).eq_to_prec(TN.h3)
     _chk(checks, "precision soundness at N vs 2N", ok)

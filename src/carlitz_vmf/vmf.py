@@ -182,26 +182,28 @@ def _eis_sums(ctx: Context, k: int, N: int):
     monic a, both to O(u^N): the first coordinate of the weight-k series
     and the monic-indexed part of its second.
 
-    Both terms are Galois-equivariant (a(t), and `_chi_terms` and the
-    Goss polynomials lie over F_p[theta, t]), so each sum runs over one
-    representative per Frobenius orbit and ``orbit_sum`` adds the
-    conjugates, as in ``forms.a_expansion``.
+    Both sums are one accumulation (``orbit_sum``), so each G_k(u(a z))
+    is packed once.  They stay apart by grade: a(t) and G_k(u(a z)) have
+    grade (0, 0) and every term of `_chi_terms` grade (0, -1), so the
+    first sum is the (0, 0) part of the total and the second its (0, -1)
+    part.  Both terms are Galois-equivariant (a(t), and `_chi_terms` and
+    the Goss polynomials lie over F_p[theta, t]), so the sum runs over one
+    representative per Frobenius orbit, as in ``forms.a_expansion``.
 
     chi_correction(a) has a pole of order s = q^(deg a - 1), so u(a z) is
     asked to O(u^(N + s)) before any O(u^N) request: ``u_scale`` then
     inverts once per orbit and serves O(u^N) from its cache."""
     L = period_lattice(ctx)
-    h1, chi = {}, {}
+    classes = {}
     for size, reps in ctx.orbits_below(N).items():
-        h1_s, chi_s = [], []
+        terms = classes[size] = []
         for a in reps:
             cc = chi_correction(ctx, a).c
             G = goss_series(ctx, L, k, a, N - min(cc, default=0))  # min(cc) = -s
-            h1_s.append((-GradedScalar.from_poly(ctx.chi(a)), G, 0))
-            chi_s += [(c, G, n) for n, c in cc.items()]
-        h1[size] = USeries.lincomb(ctx, h1_s, N)
-        chi[size] = USeries.lincomb(ctx, chi_s, N)
-    return orbit_sum(ctx, h1, N), orbit_sum(ctx, chi, N)
+            terms.append((-GradedScalar.from_poly(ctx.chi(a)), G, 0))
+            terms += [(c, G, n) for n, c in cc.items()]
+    both = orbit_sum(ctx, classes, N)
+    return both.grade_part(0, 0), both.grade_part(0, -1)
 
 
 def eis1(ctx: Context, N: int) -> VMForm:

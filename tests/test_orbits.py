@@ -4,16 +4,24 @@ sigma: x -> x^p on the F_q coefficients sends the Carlitz action of a to
 that of sigma(a), so u(sigma(a) z) = sigma(u(a z)) and every Eisenstein
 term of sigma(a) is sigma of the term of a.  ``Context.orbits_below``
 groups the monics into orbits, ``u_scale`` conjugates the representative's
-series for the other members, and the monic sums add the conjugates of a
-sum over representatives (``useries.orbit_sum``).
+series for the other members, and the monic sums add Tr_s = sum_{j<s}
+sigma^j of the sum over the representatives of each orbit size s
+(``useries.orbit_sum``): over F_{2^e} slot by slot on packed rows, and
+elsewhere by conjugating each size's sum.
 """
+
+import random
 
 import pytest
 
+from carlitz_vmf import useries
+from carlitz_vmf.carlitz import period_lattice
 from carlitz_vmf.context import Context
+from carlitz_vmf.polys import Poly
 from carlitz_vmf.scalars import GradedScalar
-from carlitz_vmf.useries import USeries, conjugate, u_scale
-from carlitz_vmf.vmf import chi_correction, eis1, lambda_1
+from carlitz_vmf.useries import (USeries, conjugate, goss_series, orbit_sum,
+                                 u_scale)
+from carlitz_vmf.vmf import _eis_sums, chi_correction, eis1, lambda_1
 from conftest import frobenius_orbits
 
 
@@ -122,3 +130,85 @@ def test_a_subfield_orbit_traced_as_full_is_caught(monkeypatch):
 
     monkeypatch.setattr(Context, "orbits_below", mutated)
     assert not _eis1_matches_per_monic(Context(4), 40)
+
+
+def _rand_poly(ctx, rng):
+    els = [x for x in ctx.ring.field.elements() if x != ctx.ring.field.zero]
+    return Poly(ctx.ring, {(rng.randrange(10), rng.randrange(3)): rng.choice(els)
+                           for _ in range(rng.randrange(1, 6))})
+
+
+def _rand_terms(ctx, rng):
+    """Packed-eligible (c, f, k) terms over two series, landing on two
+    grades: f of grade (0, 0) and g of grade (0, 1) with scalars of grade
+    (0, -1) and (0, -2)."""
+    gs = GradedScalar.from_poly
+    f = USeries(ctx, {n: gs(_rand_poly(ctx, rng)) for n in range(12)}, 12)
+    g = USeries(ctx, {n: gs(_rand_poly(ctx, rng), 0, 1) for n in range(-2, 10)},
+                14)
+    return [(gs(_rand_poly(ctx, rng)), f, 0), (None, f, 3),
+            (gs(_rand_poly(ctx, rng), 0, -1), g, 1),
+            (gs(_rand_poly(ctx, rng), 0, -2), g, 0)]
+
+
+def _conjugate_sum(ctx, terms, s):
+    """sum_{j<s} sigma^j of the lincomb of terms, conjugate by conjugate."""
+    f = USeries.lincomb(ctx, terms)
+    out = f
+    for j in range(1, s):
+        out = out + conjugate(f, j)
+    return out
+
+
+@pytest.mark.parametrize("q", [4, 8, 16])
+def test_packed_orbit_trace_equals_the_sum_of_conjugates(q, monkeypatch):
+    """For every orbit size s (every divisor of e), the trace of a random
+    packed sum taken on its rows equals the sum of its s conjugates, in
+    coefficients and precision, alone and with every size at once; the
+    packed route conjugates no series."""
+    ctx = Context(q)
+    rng = random.Random(q)
+    sizes = [s for s in range(1, ctx.e + 1) if ctx.e % s == 0]
+    classes = {s: _rand_terms(ctx, rng) for s in sizes}
+    want = {s: _conjugate_sum(ctx, terms, s) for s, terms in classes.items()}
+    calls = []
+    monkeypatch.setattr(useries, "conjugate",
+                        lambda *args: calls.append(args) or conjugate(*args))
+    for s in sizes[1:]:
+        got = orbit_sum(ctx, {s: classes[s]}, 40)
+        assert got.c == want[s].c and got.prec == want[s].prec
+    total = USeries.zero(ctx)
+    for f in want.values():
+        total = total + f
+    got = orbit_sum(ctx, classes, 40)
+    assert got.c == total.c and got.prec == total.prec
+    assert {g for c in got.c.values() for g in c.grades()} == {(0, 0), (0, -1)}
+    assert not calls
+
+
+@pytest.mark.parametrize("k", ["1", "q"])
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9])
+def test_merged_eis_sums_equal_two_separate_sums(q, k):
+    """``_eis_sums`` takes h1 and the chi-sum in one accumulation and
+    splits them by grade; each equals its own sum, taken as one lincomb
+    per orbit size plus its conjugates, in coefficients and precision.
+    N = q^3 reaches a nonzero chi-sum at k = q."""
+    ctx = Context(q)
+    k = 1 if k == "1" else q
+    N = q ** 3
+    L = period_lattice(ctx)
+    conj = ([], [])
+    for size, reps in ctx.orbits_below(N).items():
+        h1_s, chi_s = [], []
+        for a in reps:
+            cc = chi_correction(ctx, a).c
+            G = goss_series(ctx, L, k, a, N - min(cc, default=0))
+            h1_s.append((-GradedScalar.from_poly(ctx.chi(a)), G, 0))
+            chi_s += [(c, G, n) for n, c in cc.items()]
+        for out, terms in zip(conj, (h1_s, chi_s)):
+            f = USeries.lincomb(ctx, terms, N)
+            out += [(None, conjugate(f, j), 0) for j in range(size)]
+    for got, terms in zip(_eis_sums(ctx, k, N), conj):
+        want = USeries.lincomb(ctx, terms, N)
+        assert got.c == want.c and got.prec == want.prec == N
+        assert got.c

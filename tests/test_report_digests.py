@@ -34,6 +34,10 @@ each suite still built its own context.
 The q = 8 rows of ``hecke-eigen`` and ``specialize-petrov`` pin two suites
 whose monic sums run over Frobenius orbits; they were recorded while
 every monic was still solved and summed on its own.
+
+The q = 16 rows of ``eisenstein-aexp`` and ``generators`` pin monic sums
+over orbits of sizes 1, 2 and 4; they were recorded while each orbit
+size's sum was still unpacked and conjugated coefficient by coefficient.
 """
 
 import hashlib
@@ -129,6 +133,10 @@ DIGESTS = {
         "65b422334892ebcdcb6627fc625a2e987be1edc62a05d31ef45d04be87724da0",
     (9, "vadic", None):
         "ee2b5ce3b07dcc138cc19eadc1142f5d9f485871664b6175b369b94e0aff0c0a",
+    (16, "eisenstein-aexp", None):
+        "1c03cb110d01c75a465aa35510bd4ba249290d099dbdae4539bd4f6915dcf734",
+    (16, "generators", None):
+        "0a9321c17bffaeea8776e902b6a7aa1cb316ccb5003adf0c7f6a981c9b2bfd5b",
 }
 
 

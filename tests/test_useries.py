@@ -683,6 +683,12 @@ def test_lincomb_packed_matches_oracle(name):
     assert _assert_lincomb(ctx, [(None, USeries.zero(ctx, 4), 1),
                                  (theta_t, g, -1)]).prec == 5
     assert _assert_lincomb(ctx, [(None, e, 0)]).prec is None
+    # grades that differ between terms, through a scalar or a series: one
+    # packed table per grade
+    f0 = _poly_series(ctx, rng, 0, 8, 8)
+    g1 = _poly_series(ctx, rng, -1, 6, 9, grade=(0, 1))
+    _assert_lincomb(ctx, [(None, f0, 0), (gs(R.theta, 1, 0), f0, 1)])
+    _assert_lincomb(ctx, [(gs(R.t), f0, 0), (None, g1, 2)])
     # terms that cancel to an exact zero
     p = _rand_poly(R, rng, 6, 2, 5)
     for terms in ([(None, f, 1), (one, f, 1)],
@@ -697,13 +703,8 @@ def test_lincomb_fallback_matches_oracle():
     rng = random.Random(8)
     ctx2 = _packed_ctx("F2")
     R = ctx2.ring
-    gs = GradedScalar.from_poly
     f = _poly_series(ctx2, rng, 0, 8, 8)
-    g = _poly_series(ctx2, rng, -1, 6, 9, grade=(0, 1))
     cases = [
-        # grades that differ between terms, through a scalar or a series
-        (ctx2, [(None, f, 0), (gs(R.theta, 1, 0), f, 1)]),
-        (ctx2, [(gs(R.t), f, 0), (None, g, 2)]),
         # a fraction scalar
         (ctx2, [(None, f, 0),
                 (GradedScalar.from_rat(RatFunc(R.one, R.t + R.theta)), f, 1)]),
