@@ -26,7 +26,8 @@ from .vmf import eis1, eis_k, hecke, legendre_fstar
 
 
 def parse_prime(ctx: Context, text: str):
-    """Parse a monic prime like 'theta', 'theta+1', 'theta^2+theta+1'."""
+    """Parse a monic prime like 'theta', 'theta+1', 'theta^2+theta+1';
+    a constant, a non-monic or a reducible polynomial is a ValueError."""
     text = text.strip().replace(" ", "").replace("θ", "theta")
     if text in ("theta", "t"):
         coeffs = {1: 1}
@@ -49,6 +50,10 @@ def parse_prime(ctx: Context, text: str):
     out = tuple(ctx.base_field.from_int(coeffs.get(i, 0)) for i in range(deg + 1))
     if out[-1] != ctx.base_field.one:
         raise ValueError(f"{text!r} is not monic")
+    if deg == 0:
+        raise ValueError(f"{text!r} is a constant, not a prime")
+    if not ctx.is_irreducible(out):
+        raise ValueError(f"{text!r} is reducible over F_{ctx.q}")
     return out
 
 

@@ -234,14 +234,15 @@ def suite_hecke_mult_tau(ctx: Context, N: int | None = None,
     fstar, _, _ = legendre_fstar(ctx, N)
     e1 = eis1(ctx, N)
     both = hecke(ctx, p1, hecke(ctx, p2, e1))
-    swap = hecke(ctx, p2, hecke(ctx, p1, e1))
+    t1e1 = hecke(ctx, p1, e1)  # read again by the twist check below
+    swap = hecke(ctx, p2, t1e1)
     _chk_same(checks, "T_p T_q E1 = pq E1", both,
               e1.scale(GradedScalar.from_poly(ctx.apoly(p1) * ctx.apoly(p2))))
     _chk_same(checks, "T_p T_q = T_q T_p on E1", both, swap)
     hf = fstar.mul_classical(gen_h(ctx, N))
-    for name, H in (("E1", e1), ("hF*", hf)):
+    for name, H, T1H in (("E1", e1, t1e1), ("hF*", hf, hecke(ctx, p1, hf))):
         _chk_same(checks, f"tau T_p = T_p tau on {name}",
-                  tau_vmf(hecke(ctx, p1, H)), hecke(ctx, p1, tau_vmf(H)))
+                  tau_vmf(T1H), hecke(ctx, p1, tau_vmf(H)))
     return _report("hecke-mult-tau", q, N, checks)
 
 
@@ -424,7 +425,11 @@ def suite_hyperderiv_hecke(ctx: Context, N: int = 24, *, checks: list) -> dict:
 def coset_power_sums(ctx: Context, p, base: USeries, K: int):
     """Power sums sum_b u((w+b)/p)^n for 1 <= n <= K, with 1/u(w) given by
     the inverse of ``base``; computed by Newton's identities on the
-    reversed coset polynomial, independently of the Goss machinery."""
+    reversed coset polynomial, independently of the Goss machinery.
+
+    Newton's identities fix p_n from p_1 ... p_(n-1), so the table to K'
+    holds the table to any K < K', coefficient for coefficient and in
+    precision: one table per base serves every check that reads it."""
     d = len(p) - 1
     M = ctx.q ** d
     e = base.inverse()
@@ -471,10 +476,12 @@ def suite_oracles(ctx: Context, N: int | None = None, *, checks: list) -> dict:
         N = q ** 3 + 2
     p = prime_theta(ctx)
     u = USeries.u(ctx).truncate(N)
-    # trace_div against the Newton brute force, coefficient by coefficient
-    for name, f in (("E", gen_E(ctx, N).series), ("g", gen_g(ctx, N).series)):
-        K = int(f._p()) - 1
-        sums = coset_power_sums(ctx, p, u, K)
+    # trace_div against the Newton brute force, coefficient by coefficient;
+    # one table of power sums over u, to the top exponent of either series,
+    # serves both
+    named = (("E", gen_E(ctx, N).series), ("g", gen_g(ctx, N).series))
+    sums = coset_power_sums(ctx, p, u, max(max(f.c) for _, f in named))
+    for name, f in named:
         lhs = trace_div(f, p)
         brute = _coset_sum(ctx, sums, [(n, c) for n, c in sorted(f.c.items())
                                        if n != 0], lhs._p())
@@ -484,12 +491,12 @@ def suite_oracles(ctx: Context, N: int | None = None, *, checks: list) -> dict:
     # orthogonality of the torsion polynomials at degree one
     L = period_lattice(ctx)
     for a in (prime_theta_plus(ctx, 1), (ctx.base_field.one,)):
-        Sa = u_scale(ctx, a, N)
+        # G_k has degree k: one table to the top k serves every k
+        sums = coset_power_sums(ctx, p, u_scale(ctx, a, N), q + 1)
         for k in range(1, q + 2):
             G = goss_series(ctx, L, k, a, N)
             lhs = trace_div(G, p)
             rhs = G.scale(GradedScalar.from_poly(ctx.apoly(p) ** k))
-            sums = coset_power_sums(ctx, p, Sa, k * 2 + 2)
             gk = goss_poly(ctx, L, k)
             brute = _coset_sum(ctx, sums, [(e, GradedScalar.from_rat(c))
                                            for e, c in gk.coeffs.items()],

@@ -334,9 +334,15 @@ def structure_decompose(ctx: Context, H: VMForm, N: int | None = None):
         N = int(P)
     e1 = eis1(ctx, N)
     eq = eis_q(ctx, N)
-    den = det_pair(e1, eq).series
-    Fc = ClassicalForm(ctx, H.k - 1, H.m, det_pair(H, eq).series / den)
-    Gc = ClassicalForm(ctx, H.k - ctx.q, H.m, det_pair(e1, H).series / den)
+    # the inverse of den = det(E1, E_q) at full relative precision, once
+    # per N.  num * inv equals num / den term for term and in precision:
+    # with v = val(den), both are known below min(prec(num) - v,
+    # val(num) + prec(den) - 2v), as a product is known only as far as
+    # the lower relative precision of its factors.
+    inv = ctx.memo(("structure_det", N),
+                   lambda: det_pair(e1, eq).series.inverse())
+    Fc = ClassicalForm(ctx, H.k - 1, H.m, det_pair(H, eq).series * inv)
+    Gc = ClassicalForm(ctx, H.k - ctx.q, H.m, det_pair(e1, H).series * inv)
     res = compose_structure(ctx, Fc, Gc, N) - H
     if not res.h1.is_zero() or not res.h3.is_zero():
         raise NotInSpanError("form is not in the Eisenstein module",

@@ -34,6 +34,26 @@ def test_parse_prime():
         parse_prime(ctx, "2*theta")  # not monic
 
 
+@pytest.mark.parametrize("q, prime", [(2, "theta^2"), (4, "1,1")])
+def test_verify_refuses_a_prime_that_is_not_irreducible(monkeypatch, capsys,
+                                                       q, prime):
+    """theta^2 is reducible; "1,1" names two constants.  Either is a usage
+    error (exit 2) before any suite runs, not a failed suite."""
+    ran = []
+
+    def spy(ctx, N=None, primes=None, *, checks):
+        ran.append(primes)
+        return verify._report("hecke-eigen", ctx.q, N, checks)
+    monkeypatch.setitem(verify.SUITES, "hecke-eigen", spy)
+    with pytest.raises(ValueError):
+        parse_prime(Context(q), prime.split(",")[0])
+    code, out, err = run(["verify", "--suite", "hecke-eigen", "--q", str(q),
+                          "--prime", prime], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and not out
+    assert ran == []
+
+
 def test_compute_matches_library(tmp_path, capsys):
     out = tmp_path / "g.json"
     code, _, _ = run(["compute", "--q", "3", "--trunc", "10", "--form", "g",

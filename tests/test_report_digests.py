@@ -38,6 +38,17 @@ every monic was still solved and summed on its own.
 The q = 16 rows of ``eisenstein-aexp`` and ``generators`` pin monic sums
 over orbits of sizes 1, 2 and 4; they were recorded while each orbit
 size's sum was still unpacked and conjugated coefficient by coefficient.
+
+The rows of ``oracles`` at q = 2 and of ``properties``,
+``eisenstein-aexp`` and ``specialize-petrov`` at q = 3 pin reports whose
+checks read one shared object per suite: one coset power-sum table per
+base, and one inverse of det(E1, E_q) per precision in
+``structure_decompose``.  They were recorded under PYTHONHASHSEED 0 and 1
+while each check still built its own table and each decomposition its
+own determinant and inverse.
+
+Run as a script, this file prints the DIGESTS entry of each row named on
+the command line as q:suite or q:suite:N (PYTHONPATH=src).
 """
 
 import hashlib
@@ -63,6 +74,8 @@ DIGESTS = {
         "3b3808b713ad92879238bb26f578a67fc97d08d7e1e9751893687289211b6e64",
     (2, "vadic", None):
         "04a5721f925b46fdc6aed7728862157a8b7cf6fda6fa4715d4bad7f6fd270d46",
+    (2, "oracles", None):
+        "f6ff39657ef311ce91b90ed28547c0523e1dbd98302c7e146fb0cdb8b7bac85d",
     (3, "congruence", None):
         "b6513ad943417bb372694602ff34c24b9abc0aed942aea6b2bea2bc12085926a",
     (3, "det", None):
@@ -81,6 +94,12 @@ DIGESTS = {
         "bebc79ce2c2ab55d5b59978c6ef30c46a95636d27308b87a171420827690c92a",
     (3, "hecke-eigen", None):
         "6a29955edf76b053d0c106e47b24289e607458e19d3d579f468cd25f534160bb",
+    (3, "properties", None):
+        "d70924bf5a11ed0eaccdf5aae5f7ef31cdc037b6df824945cd14c5130ce3785b",
+    (3, "eisenstein-aexp", None):
+        "59430235964a22ebbe93313b349a7ed16f80fcafcd6d957ad2b0845b519c3767",
+    (3, "specialize-petrov", None):
+        "94637e5d6c45303808d16295e92e554b280bd2ec237a0e5a41f6742426d76b95",
     (4, "congruence", None):
         "2fb70f26fb62a73e34a82f80d173da6e2a88873f9596e910387cd8afa71e440c",
     (4, "vadic", None):
@@ -140,11 +159,16 @@ DIGESTS = {
 }
 
 
+def report_digest(q, suite, N=None):
+    """The sha256 of ``serialize.canonical_dumps`` of one suite report."""
+    text = serialize.canonical_dumps(run_suite(suite, q, N))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("q, suite, N", sorted(DIGESTS, key=str),
                          ids=lambda v: str(v))
 def test_report_bytes_are_pinned(q, suite, N):
-    text = serialize.canonical_dumps(run_suite(suite, q, N))
-    assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[(q, suite, N)]
+    assert report_digest(q, suite, N) == DIGESTS[(q, suite, N)]
 
 
 def test_specialized_artifact_over_f16_is_pinned():
@@ -158,3 +182,16 @@ def test_specialized_artifact_over_f16_is_pinned():
     assert '"0110"' in text
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "636e564eb1a6336eeb9c84541aa6f4c702634506c2d966a319647deba35ee6a9")
+
+
+if __name__ == "__main__":
+    # Record rows:  python tests/test_report_digests.py 3:properties 4:legendre:49
+    # prints one DIGESTS entry per row (q:suite[:N]).  Record a new row at
+    # the commit before the change it guards, under two PYTHONHASHSEEDs.
+    import sys
+
+    for row in sys.argv[1:]:
+        q, suite, *n = row.split(":")
+        key = (int(q), suite, int(n[0]) if n else None)
+        print(f'    ({key[0]}, "{suite}", {key[2]}):\n'
+              f'        "{report_digest(*key)}",')

@@ -134,6 +134,48 @@ def test_structure_decompose_hfstar(ctx):
     assert (F.weight, G.weight) == (hf.k - 1, hf.k - ctx.q)
 
 
+def _decomposable(ctx, N):
+    """E1, and g e1 + tau(e1), at N."""
+    one = forms.ClassicalForm(ctx, 0, 0, USeries.one(ctx).truncate(N))
+    return eis1(ctx, N), vmf.compose_structure(ctx, gen_g(ctx, N), one, N)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_structure_decompose_builds_det_once_per_precision(monkeypatch, q):
+    """Two decompositions at one N in one context build det(E1, E_q) once
+    and invert it once; a decomposition at another N builds and inverts
+    its own.  Each F and G equals num / den, formed by division in a
+    fresh context, in coefficients and precision."""
+    N, M = 14, 11
+    want = []
+    c0 = Context(q)
+    den = det_pair(eis1(c0, N), eis_q(c0, N)).series
+    for H in _decomposable(c0, N):
+        for num in (det_pair(H, eis_q(c0, N)), det_pair(eis1(c0, N), H)):
+            quo = num.series / den
+            want.append((quo.c, quo.prec))
+
+    ctx = Context(q)
+    forms_at_N = _decomposable(ctx, N)
+    eis_q(ctx, N)
+    pairs, inverses = [], []
+    pair, inverse = vmf.det_pair, USeries.inverse
+    monkeypatch.setattr(vmf, "det_pair",
+                        lambda H1, H2: pairs.append(1) or pair(H1, H2))
+    monkeypatch.setattr(USeries, "inverse", lambda self, *args: (
+        inverses.append(self.prec) or inverse(self, *args)))
+    got = []
+    for H in forms_at_N:
+        got += [(s.series.c, s.series.prec)
+                for s in structure_decompose(ctx, H)]
+    assert got == want
+    # two numerators per call, one determinant and one inverse per N
+    assert (len(pairs), len(inverses)) == (5, 1)
+    structure_decompose(ctx, eis1(ctx, M))
+    assert (len(pairs), len(inverses)) == (8, 2)
+    assert inverses[1] < inverses[0]
+
+
 def test_structure_decompose_weight_check(ctx):
     if ctx.q == 2:
         pytest.skip("every weight admits regular forms when q = 2")
