@@ -233,14 +233,10 @@ class USeries:
             if len(other.c) == 1:
                 return self * USeries.monomial(self.ctx, -vg, other.c[vg].inv())
             raise PrecisionError("dividing exact by exact needs a truncation")
-        return self * other.inverse(self._quotient_rel(other))
-
-    def _quotient_rel(self, other):
-        """Relative precision of the inverse of other that self / other
-        needs (finite unless both series are exact)."""
-        vg = other.val()
-        return min(self._p() - self.val() if self.c else self._p() - vg,
-                   other._p() - vg)
+        # the relative precision of the inverse that the quotient needs
+        return self * other.inverse(min(
+            self._p() - self.val() if self.c else self._p() - vg,
+            other._p() - vg))
 
     def __pow__(self, n: int):
         if n < 0:
@@ -513,21 +509,6 @@ def _poly_solve(ring, x: dict, f: list, rel: int, code: int = 1) -> dict:
             rows = packer.multiples([rows, None, None])[code]
         y[n] = packer.unpack(ring, rows)
     return {n: p for n, (p, _) in y.items()}
-
-
-def quotients(nums, den: USeries) -> list:
-    """``[num / den for num in nums]`` with one inverse of den.
-
-    The inverse is taken at the largest relative precision any quotient
-    needs, and each product uses it truncated to that quotient's own, so
-    every quotient equals ``num / den`` term for term and in precision.
-    """
-    if not den.c or den.prec is None:
-        return [num / den for num in nums]
-    rels = [num._quotient_rel(den) for num in nums]
-    inv = den.inverse(max(rels))
-    vg = den.val()
-    return [num * inv.truncate(rel - vg) for num, rel in zip(nums, rels)]
 
 
 def u_scale(ctx: Context, a, prec: int) -> USeries:

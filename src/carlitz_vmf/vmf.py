@@ -33,8 +33,7 @@ from .forms import (ClassicalForm, a_expansion, gen_goss_eis, gen_h, gh_basis,
                     gh_monomials, solve_in_span)
 from .polys import RatFunc
 from .scalars import GradedScalar
-from .useries import (USeries, goss_series, orbit_sum, quotients, scale_arg,
-                      trace_div)
+from .useries import USeries, goss_series, orbit_sum, scale_arg, trace_div
 
 
 def regular_weight_ok(ctx: Context, k: int, m: int) -> bool:
@@ -438,7 +437,9 @@ def legendre_fstar(ctx: Context, N: int):
         M = ctx.q * (N + 2)
         e1 = eis1(ctx, M)
         h = gen_h(ctx, M)
-        T1, T3 = (-x for x in quotients([e1.h1, e1.h3], h.series))
+        # one inverse serves both quotients, as in structure_decompose
+        inv = h.series.inverse()
+        T1, T3 = (-(x * inv) for x in (e1.h1, e1.h3))
         T = VMForm(ctx, -ctx.q, -1, T1, T3, regular=False)
         fstar = untau_vmf(T, -1, -1, regular=False)
         d2 = -fstar.h1

@@ -12,8 +12,10 @@ from carlitz_vmf import serialize as ser
 from carlitz_vmf import verify
 from carlitz_vmf.cli import BENCH_GRID, main, parse_prime
 from carlitz_vmf.context import Context
-from carlitz_vmf.errors import EvaluationPoleError, PrecisionError
+from carlitz_vmf.errors import (CarlitzVMFError, EvaluationPoleError,
+                                NotInSpanError, PrecisionError)
 from carlitz_vmf.forms import ClassicalForm, gen_g
+from carlitz_vmf.scalars import GradedScalar
 from carlitz_vmf.useries import USeries
 from carlitz_vmf.vmf import eis1
 from conftest import shared_context
@@ -167,7 +169,8 @@ def test_run_suite_reports_a_raising_suite_as_failed(monkeypatch, capsys):
 
 def test_run_suite_keeps_the_checks_before_an_exception(monkeypatch):
     def suite(ctx, N=8, *, checks):
-        verify._chk(checks, "first identity", True)
+        with checks("first identity") as c:
+            c.ok(True)
         raise EvaluationPoleError("pole")
     monkeypatch.setitem(verify.SUITES, "half", suite)
     rep = verify.run_suite("half", 2)
@@ -182,7 +185,8 @@ def test_run_suite_keeps_the_checks_before_an_exception(monkeypatch):
 def test_run_suite_reports_any_exception_as_a_failed_check(monkeypatch,
                                                           capsys):
     def suite(ctx, N=8, *, checks):
-        verify._chk(checks, "first identity", True)
+        with checks("first identity") as c:
+            c.ok(True)
         return 1 // 0
     for name in list(verify.SUITES):
         monkeypatch.delitem(verify.SUITES, name)
@@ -201,25 +205,159 @@ def test_run_suite_reports_any_exception_as_a_failed_check(monkeypatch,
     assert "ZeroDivisionError" in out
 
 
-def test_run_suite_frees_the_suite_context(monkeypatch):
+@pytest.mark.parametrize("suite, N", [("det", 24), ("congruence", None),
+                                      ("vadic", None)])
+def test_run_suite_frees_the_suite_context(monkeypatch, suite, N):
     """With the cyclic collector off, the context that run_suite hands a
     suite is gone once run_suite returns: its cached builds, which close
-    over it, are dropped when the suite ends."""
+    over it, are dropped when the suite ends, and so are those of the
+    F_{q^d} contexts that congruence and vadic make for each check."""
     contexts = []
-    det = verify.SUITES["det"]
+    fn = verify.SUITES[suite]
 
-    def spy(ctx, N, *, checks):
+    def spy(ctx, *args, checks):
         contexts.append(weakref.ref(ctx))
-        return det(ctx, N, checks=checks)
-    monkeypatch.setitem(verify.SUITES, "det", spy)
+        return fn(ctx, *args, checks=checks)
+    monkeypatch.setitem(verify.SUITES, suite, spy)
     gc.disable()
     try:
-        rep = verify.run_suite("det", 2, 24)
+        rep = verify.run_suite(suite, 2, N)
         (ref,) = contexts
         assert ref() is None
     finally:
         gc.enable()
     assert rep["ok"] is True
+
+
+def test_a_raising_check_fails_alone(monkeypatch, capsys):
+    """The check after a raising one still runs, and first_discrepancy
+    names the raising check."""
+    def suite(ctx, N=8, *, checks):
+        with checks("before") as c:
+            c.ok(True)
+        with checks("raises") as c:
+            c.ok(True)
+            raise EvaluationPoleError("pole at t = theta")
+        with checks("after") as c:
+            c.ok(True, "ran")
+        return verify._report("middle", ctx.q, N, checks)
+    monkeypatch.setitem(verify.SUITES, "middle", suite)
+    rep = verify.run_suite("middle", 2)
+    assert rep["ok"] is False
+    assert rep["checks"] == [
+        {"name": "before", "ok": True, "detail": None},
+        {"name": "raises", "ok": False,
+         "detail": "EvaluationPoleError: pole at t = theta"},
+        {"name": "after", "ok": True, "detail": "ran"},
+    ]
+    assert rep["first_discrepancy"] == {
+        "check": "raises", "detail": "EvaluationPoleError: pole at t = theta"}
+    code, out, _ = run(["verify", "--q", "2", "--suite", "middle"], capsys)
+    assert code == 1 and "pole at t = theta" in out
+
+
+def test_check_same_names_the_first_differing_coefficient():
+    ctx = Context(3)
+    got = eis1(ctx, 10)
+    want = got.scale(GradedScalar.from_int(ctx.ring, 2))
+    n, a, b = got.h1.first_difference(want.h1)
+    checks = verify.Checks()
+    with checks("E1 == 2 E1") as c:
+        c.same(got, want)
+    with checks("E1.h1 == 2 E1.h1") as c:
+        c.same(got.h1, want.h1, "col 0 ")
+    with checks("E1 == E1") as c:
+        c.same(got, got)
+    assert checks == [
+        {"name": "E1 == 2 E1", "ok": False,
+         "detail": f"h1[u^{n}]: got {a}, expected {b}"},
+        {"name": "E1.h1 == 2 E1.h1", "ok": False,
+         "detail": f"col 0 u^{n}: got {a}, expected {b}"},
+        {"name": "E1 == E1", "ok": True, "detail": None},
+    ]
+
+
+def test_a_check_keeps_the_first_failing_detail():
+    """A check holds iff every call holds; its detail is the first failing
+    call's, else the last detail given (None when none is)."""
+    checks = verify.Checks()
+    with checks("fails twice") as c:
+        c.ok(True, "a pass")
+        c.ok(False, "first failure")
+        c.ok(False, "second failure")
+        c.ok(True, "a later pass")
+    with checks("fails, then raises") as c:
+        c.ok(False, "first failure")
+        raise ArithmeticError("not kept")
+    with checks("passes") as c:
+        c.ok(True, "a pass")
+        c.ok(True)
+        c.ok(True, "the last pass")
+    with checks("records nothing"):
+        pass
+    assert [(e["ok"], e["detail"]) for e in checks] == [
+        (False, "first failure"), (False, "first failure"),
+        (True, "the last pass"), (True, None)]
+
+
+def test_a_precision_error_inside_a_check_still_exits_3(monkeypatch, capsys):
+    reached = []
+
+    def suite(ctx, N=8, *, checks):
+        with checks("needs more terms") as c:
+            raise PrecisionError("comparison needs O(u^40), have O(u^8)")
+        reached.append(c)
+        return verify._report("short-check", ctx.q, N, checks)
+    monkeypatch.setitem(verify.SUITES, "short-check", suite)
+    with pytest.raises(PrecisionError):
+        verify.run_suite("short-check", 2)
+    code, _, err = run(["verify", "--q", "2", "--suite", "short-check"],
+                       capsys)
+    assert code == 3
+    assert "insufficient precision" in err
+    assert reached == []
+
+
+def test_eisenstein_aexp_fails_both_weight_2q_minus_1_checks(monkeypatch):
+    """When eis_k raises at weight 2q-1, both checks that read it are
+    listed as failed with the exception, and the four before them pass."""
+    eis_k = verify.eis_k
+
+    def stub(ctx, k, N):
+        if k == 2 * ctx.q - 1:
+            raise CarlitzVMFError("non-constant terms at [3]")
+        return eis_k(ctx, k, N)
+    monkeypatch.setattr(verify, "eis_k", stub)
+    rep = verify.run_suite("eisenstein-aexp", 2, 12)
+    assert [c["ok"] for c in rep["checks"]] == [True] * 4 + [False] * 2
+    assert [(c["name"], c["detail"]) for c in rep["checks"][4:]] == [
+        ("lambda_3 extraction is constant",
+         "CarlitzVMFError: non-constant terms at [3]"),
+        ("structure decomposition of weight 3 round-trips",
+         "CarlitzVMFError: non-constant terms at [3]"),
+    ]
+
+
+def test_a_raising_decomposition_case_keeps_the_later_draws(monkeypatch):
+    """In properties, a structure decomposition that raises fails its case
+    alone: every later case is still drawn, the same as without the raise,
+    and decomposed."""
+    decompose = verify.structure_decompose
+    seen = {False: [], True: []}
+
+    def spy(ctx, H, raising):
+        seen[raising].append(str(H.h1))
+        if raising and len(seen[raising]) == 1:
+            raise NotInSpanError("form is not in the Eisenstein module")
+        return decompose(ctx, H)
+    for raising in (False, True):
+        monkeypatch.setattr(verify, "structure_decompose",
+                            lambda ctx, H: spy(ctx, H, raising))
+        rep = verify.run_suite("properties", 2, 12, cases=4)
+        failed = [c["name"] for c in rep["checks"] if not c["ok"]]
+        assert failed == (["structure decomposition round-trip"] if raising
+                          else [])
+    assert len(seen[False]) > 1 and seen[True] == seen[False]
 
 
 def test_context_clear_empties_both_caches():
