@@ -187,6 +187,10 @@ def cmd_verify(args) -> int:
             print(f"error: unknown suite {n!r}; choose from "
                   f"{', '.join(sorted(SUITES))} or 'all'", file=sys.stderr)
             return 2
+    if args.prime and args.suite not in ("hecke-eigen", "all"):
+        print(f"error: --prime applies only to --suite hecke-eigen (or all), "
+              f"not {args.suite!r}", file=sys.stderr)
+        return 2
     primes = None
     if args.prime:
         try:
@@ -323,6 +327,10 @@ def main(argv=None) -> int:
             return 2
         if args.command == "compute" and args.trunc is None:
             print("error: compute needs --trunc", file=sys.stderr)
+            return 2
+        if args.trunc is not None and args.trunc < 1:
+            print(f"error: --trunc must be at least 1, not {args.trunc}",
+                  file=sys.stderr)
             return 2
     try:
         return args.fn(args)

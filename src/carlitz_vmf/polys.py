@@ -22,12 +22,17 @@ suffices (none when g = 1).  Products cross-cancel the reduced pairs.  The
 twist theta -> theta^q and powers take no gcd at all: they map coprime
 pairs to coprime pairs.
 
-An operand of t-degree 0 or 1 needs only univariate gcds over F[theta]
-and, for degree 1, one divisibility identity.  When both operands have
+The gcd kernel reads each operand once into theta-rows, {t-degree j:
+little-endian list of the codes of the theta-coefficient of t^j}, runs
+every branch on those code lists through the field's tables and builds
+one ``Poly``, the answer.  An operand of t-degree 0 or 1 needs only
+univariate gcds over F[theta] and, for degree 1, one divisibility
+identity, evaluated as products of code lists.  When both operands have
 t-degree at least 2, images at a few points theta = x that are coprime in
 F[t] prove the gcd t-free, and it is the gcd of the theta-contents; only
-when no point decides does the primitive PRS in t (``_bivar_gcd``) run.
-Exact division pops the graded-lex lead of the remainder from a heap.
+when no point decides does the primitive PRS in t (``_bivar_gcd``) run,
+with its pseudo-remainders and contents on rows too.  Exact division pops
+the graded-lex lead of the remainder from a heap.
 """
 
 from __future__ import annotations
@@ -546,23 +551,33 @@ class _F2Packer:
 
 
 # -- gcd ------------------------------------------------------------------
+#
+# The kernel works on theta-rows: {t-degree j: the little-endian list of
+# the codes of the theta-coefficient of t^j}.  A zero coefficient has no
+# row, and every row ends in a nonzero code.
 
 
-def _to_univar(poly, var):
-    """Coefficient list (little-endian) of a polynomial using only ``var``."""
-    deg = poly.deg_theta() if var == 0 else poly.deg_t()
-    f = poly.ring.field
-    out = [f.zero] * (deg + 1)
+def _theta_rows(poly):
+    """The theta-rows of a nonzero polynomial."""
+    rows = {}
     for (i, j), v in poly.c.items():
-        out[i if var == 0 else j] = v
-    return out
+        row = rows.get(j)
+        if row is None:
+            rows[j] = row = [0] * (i + 1)
+        elif len(row) <= i:
+            row.extend([0] * (i + 1 - len(row)))
+        row[i] = v
+    return rows
 
 
-def _from_univar(ring, coeffs, var):
+def _rows_poly(ring, rows):
+    """The polynomial of theta-rows, scaled to a graded-lex lead of 1 (the
+    lead is the top of a row)."""
+    top = max(rows, key=lambda j: (len(rows[j]) + j, len(rows[j])))
     f = ring.field
-    if var == 0:
-        return Poly(ring, {(i, 0): c for i, c in enumerate(coeffs) if c != f.zero})
-    return Poly(ring, {(0, j): c for j, c in enumerate(coeffs) if c != f.zero})
+    row = f.mul_table[f.inv_table[rows[top][-1]]]
+    return Poly(ring, {(i, j): row[v] for j, r in rows.items()
+                       for i, v in enumerate(r) if v})
 
 
 def _deg(u, n):
@@ -594,6 +609,67 @@ def _univar_gcd(a, b, field):
     return [row[x] for x in a[: da + 1]]
 
 
+def _mul(u, v, field):
+    """Product of two nonzero code lists."""
+    add, mul = field.add_table, field.mul_table
+    out = [0] * (len(u) + len(v) - 1)
+    for i, x in enumerate(u):
+        if x:
+            row = mul[x]
+            for k, y in enumerate(v, i):
+                out[k] = add[out[k]][row[y]]
+    return out
+
+
+def _add(u, v, field):
+    """Sum of two code lists, without top zeros."""
+    if len(u) < len(v):
+        u, v = v, u
+    add = field.add_table
+    out = list(u)
+    for i, y in enumerate(v):
+        if y:
+            out[i] = add[out[i]][y]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _quo(u, d, field):
+    """u / d for code lists, d monic and dividing u exactly."""
+    sub, mul = field.sub_table, field.mul_table
+    m = len(d) - 1
+    u = list(u)
+    out = [0] * (len(u) - m)
+    for k in range(len(out) - 1, -1, -1):
+        c = out[k] = u[k + m]
+        if c:
+            row = mul[c]
+            for i in range(m):
+                if d[i]:
+                    u[k + i] = sub[u[k + i]][row[d[i]]]
+    return out
+
+
+def _content(rows, field, g=None):
+    """Monic gcd over F[theta] of the rows and, when given, the code list
+    g; stops as soon as it reaches 1."""
+    acc = [] if g is None else g
+    for row in sorted(rows.values(), key=len):
+        acc = _univar_gcd(acc, row, field)
+        if len(acc) == 1:
+            break
+    return acc
+
+
+def _primitive(rows, field):
+    """(content, primitive part) of theta-rows."""
+    c = _content(rows, field)
+    if len(c) == 1:
+        return c, rows
+    return c, {j: _quo(r, c, field) for j, r in rows.items()}
+
+
 def _monomial_gcd(mono: Poly, other: Poly) -> Poly:
     ((i0, j0), _), = mono.c.items()
     i1 = min((k[0] for k in other.c), default=0)
@@ -604,17 +680,18 @@ def _monomial_gcd(mono: Poly, other: Poly) -> Poly:
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic (graded-lex) gcd in F[theta, t].
 
-    Exact shortcuts come first: a monomial operand; an operand of t-degree
-    0, whose gcd with b is a gcd in F[theta] of it and the t-coefficients
-    of b; an operand of t-degree 1 (``_linear_gcd``); two t-free or two
-    theta-free operands; equal operands.  Otherwise both operands have
-    t-degree at least 2, and Brown's evaluation test comes next
+    A zero or monomial operand is answered on the ``Poly``s.  Otherwise
+    each operand is read once into theta-rows, and every branch works on
+    those code lists through the field's tables: an operand of t-degree
+    0, whose gcd with b is the gcd in F[theta] of it and the rows of b;
+    an operand of t-degree 1 (``_linear_gcd``); two theta-free operands,
+    a gcd in F[t]; equal operands.  Otherwise both operands have t-degree
+    at least 2, and Brown's evaluation test comes next
     (``_coprime_at_a_point``): when a(x, t) and b(x, t) are coprime for
     one of a few points x where the t-lead of a does not vanish, the gcd
     is the gcd of the theta-contents.  The primitive PRS (``_bivar_gcd``)
-    runs only when no point decides.
+    runs only when no point decides.  One ``Poly`` is built, the answer.
     """
-    ring = a.ring
     if a.is_zero():
         return b.monic()
     if b.is_zero():
@@ -623,145 +700,142 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return _monomial_gcd(a, b)
     if len(b.c) == 1:
         return _monomial_gcd(b, a)
-    da, db = a.deg_t(), b.deg_t()
+    ring = a.ring
+    f = ring.field
+    ra, rb = _theta_rows(a), _theta_rows(b)
+    da, db = max(ra), max(rb)
     if da > db:
-        a, b, da = b, a, db
+        a, b, ra, rb, da, db = b, a, rb, ra, db, da
     if da == 0:
-        return _content_theta(b, a)
+        return ring.theta_poly(_content(rb, f, ra[0]))
     if da == 1:
-        return _linear_gcd(a, b)
-    if a.deg_theta() == 0 and b.deg_theta() == 0:
-        return _from_univar(
-            ring, _univar_gcd(_to_univar(a, 1), _to_univar(b, 1), ring.field), 1)
-    if a == b:
+        return _linear_gcd(ring, ra, rb)
+    if all(len(r) == 1 for r in ra.values()) and all(
+            len(r) == 1 for r in rb.values()):
+        ta = [ra[j][0] if j in ra else 0 for j in range(da + 1)]
+        tb = [rb[j][0] if j in rb else 0 for j in range(db + 1)]
+        return ring.t_poly(_univar_gcd(ta, tb, f))
+    if ra == rb:
         return a.monic()
-    if _coprime_at_a_point(a, b):
-        return _content_theta(b, _content_theta(a))
+    if _coprime_at_a_point(ra, rb, f):
+        return ring.theta_poly(_content(rb, f, _content(ra, f)))
     return _bivar_gcd(a, b)
 
 
 _EVAL_POINTS = 4
 
 
-def _coprime_at_a_point(a, b):
+def _image(rows, d, mx, add):
+    """The t-coefficient list of theta-rows at theta = x, where mx is the
+    mul table row of x (Horner on each row)."""
+    out = [0] * (d + 1)
+    for j, row in rows.items():
+        v = 0
+        for c in reversed(row):
+            v = add[mx[v]][c]
+        out[j] = v
+    return out
+
+
+def _coprime_at_a_point(ra, rb, field):
     """True when a(x, t) and b(x, t) are coprime in F[t] for one of the
     first ``_EVAL_POINTS`` elements x of F at which the t-lead of a does
-    not vanish (Brown's test).  Then gcd(a, b) has t-degree 0: a factor G
-    of positive t-degree would keep its t-degree at x, since a does, and
-    G(x, t) would divide both images."""
-    f = a.ring.field
-    zero, add, mul = f.zero, f.add, f.mul
-    da, db = a.deg_t(), b.deg_t()
-    top = max(a.deg_theta(), b.deg_theta())
-    for x in itertools.islice(f.elements(), _EVAL_POINTS):
-        powers = [f.one]
-        for _ in range(top):
-            powers.append(mul(powers[-1], x))
-        images = []
-        for poly, d in ((a, da), (b, db)):
-            row = [zero] * (d + 1)
-            for (i, j), v in poly.c.items():
-                row[j] = add(row[j], mul(v, powers[i]))
-            images.append(row)
-        if images[0][da] == zero:
+    not vanish (Brown's test), for a and b given by their theta-rows.
+    Then gcd(a, b) has t-degree 0: a factor G of positive t-degree would
+    keep its t-degree at x, since a does, and G(x, t) would divide both
+    images."""
+    add, mul = field.add_table, field.mul_table
+    da, db = max(ra), max(rb)
+    for x in itertools.islice(field.elements(), _EVAL_POINTS):
+        image_a = _image(ra, da, mul[x], add)
+        if not image_a[da]:
             continue
-        if len(_univar_gcd(images[0], images[1], f)) == 1:
+        image_b = _image(rb, db, mul[x], add)
+        if len(_univar_gcd(image_a, image_b, field)) == 1:
             return True
     return False
 
 
-def _linear_gcd(a, b):
-    """gcd(a, b) for a of t-degree 1.
+def _linear_gcd(ring, ra, rb):
+    """gcd(a, b) for a of t-degree 1, from the theta-rows of a and b.
 
     Write a = c (b1 t + b0) with c the theta-content of a.  The primitive
     part L = b1 t + b0 has t-degree 1, so it is irreducible (Gauss's
     lemma), and gcd(a, b) = gcd(c, content b) * (L if L | b else 1).  L
     divides b exactly when b vanishes at t = -b0/b1, i.e. when
-    sum_j b_j (-b0)^j b1^(d - j) = 0 for d = deg_t b.
+    sum_j b_j (-b0)^j b1^(d - j) = 0 for d = deg_t b, which Horner's rule
+    evaluates as products of code lists.
     """
-    ring = a.ring
-    ac = _t_coeffs(a)
-    c = _content_theta(a)
-    b1, b0 = ac[1], ac.get(0, ring.zero)
-    if c.is_one():
+    f = ring.field
+    c = _content(ra, f)
+    b1, b0 = ra[1], ra.get(0, [])
+    if len(c) == 1:
         g = c
     else:
-        b1, b0 = b1.exact_div(c), b0.exact_div(c)
-        g = _content_theta(b, c)
-    bc = _t_coeffs(b)
-    d = max(bc)
-    x, unit = -b0, b1.is_one()
-    acc, b1_pow = bc[d], ring.one
+        b1, b0 = _quo(b1, c, f), _quo(b0, c, f)
+        g = _content(rb, f, c)
+    neg = f.neg_table
+    x, unit = [neg[v] for v in b0], b1 == [1]
+    d = max(rb)
+    acc, b1_pow = rb[d], [1]
     for j in range(d - 1, -1, -1):
-        acc = acc * x
+        acc = _mul(acc, x, f) if acc and x else []
         if not unit:
-            b1_pow = b1_pow * b1
-        bj = bc.get(j)
+            b1_pow = _mul(b1_pow, b1, f)
+        bj = rb.get(j)
         if bj is not None:
-            acc = acc + (bj if unit else bj * b1_pow)
-    if not acc.is_zero():
-        return g
-    return (g * (b1 * ring.t + b0)).monic()
+            acc = _add(acc, bj if unit else _mul(bj, b1_pow, f), f)
+    if acc:
+        return ring.theta_poly(g)
+    rows = {1: _mul(g, b1, f)}
+    if b0:
+        rows[0] = _mul(g, b0, f)
+    return _rows_poly(ring, rows)
 
 
-def _t_coeffs(poly):
-    """Polynomial as dict t-degree -> theta-polynomial."""
-    ring = poly.ring
-    out = {}
-    for (i, j), v in poly.c.items():
-        out.setdefault(j, {})[(i, 0)] = v
-    return {j: Poly(ring, d) for j, d in out.items()}
-
-
-def _content_theta(poly, g=None):
-    """Monic gcd over F[theta] of the t-coefficients of poly and, when
-    given, the t-free polynomial g; stops as soon as it reaches 1."""
-    ring = poly.ring
-    f = ring.field
-    rows = {}
-    for (i, j), v in poly.c.items():
-        row = rows.get(j)
-        if row is None:
-            row = rows[j] = []
-        if len(row) <= i:
-            row.extend([f.zero] * (i + 1 - len(row)))
-        row[i] = v
-    acc = [] if g is None else _to_univar(g, 0)
-    for row in sorted(rows.values(), key=len):
-        acc = _univar_gcd(acc, row, f)
-        if len(acc) == 1:
+def _prem(a, b, field):
+    """Pseudo-remainder of theta-rows a by theta-rows b in t: while
+    deg_t r >= deg_t b, r becomes lb r - lr t^(deg_t r - deg_t b) b, with
+    lb and lr the t-leads."""
+    neg = field.neg_table
+    db = max(b)
+    lb = b[db]
+    r = a
+    while r:
+        dr = max(r)
+        if dr < db:
             break
-    return _from_univar(ring, acc, 0)
+        minus_lr, shift = [neg[v] for v in r[dr]], dr - db
+        # the t^dr terms cancel
+        out = {j: _mul(lb, row, field) for j, row in r.items() if j != dr}
+        for j, row in b.items():
+            if j == db:
+                continue
+            k = j + shift
+            v = _mul(minus_lr, row, field)
+            if k in out:
+                v = _add(out[k], v, field)
+                if not v:
+                    del out[k]
+                    continue
+            out[k] = v
+        r = out
+    return r
 
 
 def _bivar_gcd(a, b):
-    """Primitive PRS gcd with t as the main variable."""
-    ca, cb = _content_theta(a), _content_theta(b)
-    g_cont = _content_theta(cb, ca)
-    pa, pb = a.exact_div(ca), b.exact_div(cb)
-    while not pb.is_zero():
-        r = _prem_t(pa, pb)
-        pa = pb
-        pb = r if r.is_zero() else r.exact_div(_content_theta(r))
-    return (g_cont * pa.exact_div(_content_theta(pa))).monic()
-
-
-def _prem_t(a, b):
-    """Pseudo-remainder of a by b in the main variable t."""
-    da, db = a.deg_t(), b.deg_t()
-    if da < db:
-        return a
-    bc = _t_coeffs(b)
-    lb = bc[db]
-    r = a
-    while not r.is_zero() and r.deg_t() >= db:
-        rc = _t_coeffs(r)
-        dr = r.deg_t()
-        lr = rc[dr]
-        # lb * r - lr * t^(dr-db) * b
-        shift = Poly(a.ring, {(0, dr - db): a.ring.field.one})
-        r = lb * r - lr * shift * b
-    return r
+    """Primitive PRS gcd with t as the main variable, on theta-rows."""
+    ring = a.ring
+    f = ring.field
+    ca, pa = _primitive(_theta_rows(a), f)
+    cb, pb = _primitive(_theta_rows(b), f)
+    g = _univar_gcd(ca, cb, f)
+    while pb:
+        r = _prem(pa, pb, f)
+        pa, pb = pb, _primitive(r, f)[1]
+    if len(g) > 1:
+        pa = {j: _mul(g, row, f) for j, row in pa.items()}
+    return _rows_poly(ring, pa)
 
 
 # -- rational functions -----------------------------------------------------

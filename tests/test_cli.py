@@ -112,6 +112,40 @@ def test_usage_errors(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["verify", "--suite", "tau-difference", "--q", "3", "--trunc", "0"],
+    ["verify", "--suite", "oracles", "--q", "3", "--trunc", "0"],
+    ["verify", "--suite", "det", "--q", "2", "--trunc", "-1"],
+    ["compute", "--form", "E", "--q", "2", "--trunc", "-2"],
+    ["compute", "--form", "g", "--q", "3", "--trunc", "0"],
+])
+def test_trunc_below_one_is_a_usage_error(args, capsys, tmp_path):
+    """A series known only to O(u^0) holds nothing to compare or write:
+    --trunc below 1 exits 2 before any suite runs or any file is cached."""
+    code, out, err = run(args + (["--cache-dir", str(tmp_path)]
+                                 if args[0] == "compute" else []), capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "--trunc" in err
+    assert not out and not any(tmp_path.iterdir())
+
+
+def test_prime_with_a_suite_that_ignores_it_is_a_usage_error(monkeypatch,
+                                                             capsys):
+    """--prime reaches hecke-eigen only; naming another suite with it is
+    an error that names hecke-eigen, and no suite runs."""
+    ran = []
+
+    def spy(ctx, N=None, *, checks):
+        ran.append(ctx.q)
+        return verify._report("det", ctx.q, N, checks)
+    monkeypatch.setitem(verify.SUITES, "det", spy)
+    code, out, err = run(["verify", "--suite", "det", "--q", "2",
+                          "--prime", "theta"], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "hecke-eigen" in err
+    assert not out and ran == []
+
+
 def test_verify_suite_pass(capsys):
     code, out, _ = run(["verify", "--q", "3", "--suite", "generators",
                         "--trunc", "40"], capsys)

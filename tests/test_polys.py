@@ -4,7 +4,8 @@ import pytest
 import sympy
 
 from carlitz_vmf.context import Context
-from carlitz_vmf.polys import Poly, PolyRing, RatFunc, _bivar_gcd, poly_gcd
+from carlitz_vmf.polys import (Poly, PolyRing, RatFunc, _bivar_gcd,
+                               _univar_gcd, poly_gcd)
 from carlitz_vmf.fields import GF
 
 
@@ -67,6 +68,59 @@ def test_univariate_gcd(q):
         assert poly_gcd(a, b) == ctx.apoly(want)
 
 
+def _t_coeff(poly, j):
+    """The coefficient of t^j, a polynomial in theta."""
+    return Poly(poly.ring, {(i, 0): v for (i, k), v in poly.c.items()
+                            if k == j})
+
+
+def _content_theta(poly, g=None):
+    """Monic gcd over F[theta] of the t-coefficients of poly and, when
+    given, the t-free g."""
+    ring = poly.ring
+    acc = [] if g is None else [g.coeff(i, 0)
+                                for i in range(g.deg_theta() + 1)]
+    for j in {j for _, j in poly.c}:
+        c = _t_coeff(poly, j)
+        acc = _univar_gcd(acc, [c.coeff(i, 0)
+                                for i in range(c.deg_theta() + 1)],
+                          ring.field)
+    return ring.theta_poly(acc)
+
+
+def _prem_t(a, b):
+    """Pseudo-remainder of a by b in the main variable t."""
+    db = b.deg_t()
+    lb, r = _t_coeff(b, db), a
+    while not r.is_zero() and r.deg_t() >= db:
+        dr = r.deg_t()
+        shift = r.ring.monomial(r.ring.field.one, 0, dr - db)
+        r = lb * r - _t_coeff(r, dr) * shift * b
+    return r
+
+
+def _prs_gcd(a, b):
+    """Monic gcd by the primitive PRS in t, on Polys alone: the oracle the
+    theta-row kernel is checked against."""
+    ca, cb = _content_theta(a), _content_theta(b)
+    pa, pb = a.exact_div(ca), b.exact_div(cb)
+    while not pb.is_zero():
+        r = _prem_t(pa, pb)
+        pa = pb
+        pb = r if r.is_zero() else r.exact_div(_content_theta(r))
+    return (_content_theta(cb, ca) * pa).monic()
+
+
+def _assert_gcds_match_prs(a, b):
+    """poly_gcd and _bivar_gcd, either way round, equal the oracle and
+    come out monic."""
+    want = _prs_gcd(a, b)
+    assert want.lead()[1] == a.ring.field.one
+    for g in (poly_gcd(a, b), poly_gcd(b, a), _bivar_gcd(a, b),
+              _bivar_gcd(b, a)):
+        assert g == want
+
+
 def _random_poly(R, rng, max_i, max_j, n_terms):
     """Random polynomial of t-degree max_j and theta-degree <= max_i."""
     F = R.field
@@ -77,10 +131,11 @@ def _random_poly(R, rng, max_i, max_j, n_terms):
     return Poly(R, c)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_gcd_shortcuts_match_prs(q):
-    """poly_gcd takes exact shortcuts for an operand of t-degree 0 or 1;
-    each must equal the primitive PRS gcd and come out monic."""
+    """poly_gcd takes exact shortcuts for an operand of t-degree 0 or 1,
+    also one with no constant row; each must equal the primitive PRS gcd
+    of the oracle and come out monic."""
     R = Context(q).ring
     rng = random.Random(100 + q)
     pairs = []
@@ -100,14 +155,14 @@ def test_gcd_shortcuts_match_prs(q):
             (lin, x * c * A + R.one),  # nor here
             (monic_lin, monic_lin * x * A),
             (monic_lin, A),
+            (c * R.t, R.t * A),        # L = t, no constant row
+            (c * R.t, c * A + R.t),    # t does not divide the other
+            (c * R.t, x * c * B),
         ]
     for a, b in pairs:
         assert min(a.deg_t(), b.deg_t()) <= 1
         assert len(a.terms()) > 1 and len(b.terms()) > 1
-        want = _bivar_gcd(a, b)
-        for g in (poly_gcd(a, b), poly_gcd(b, a)):
-            assert g == want
-            assert g.lead()[1] == R.field.one
+        _assert_gcds_match_prs(a, b)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
@@ -232,10 +287,10 @@ def test_subs_theta_power_is_multiplicative():
 
 
 def _from_scratch(num, den):
-    """num/den normalized by the primitive PRS alone: the oracle."""
+    """num/den normalized by the oracle's primitive PRS alone."""
     if num.is_zero():
         return RatFunc(num, None, reduce=False)
-    g = _bivar_gcd(num, den)
+    g = _prs_gcd(num, den)
     num, den = num.exact_div(g), den.exact_div(g)
     inv = den.ring.field.inv(den.lead()[1])
     return RatFunc(num.scale(inv), den.scale(inv), reduce=False)
@@ -298,7 +353,7 @@ def test_tau_and_pow_match_from_scratch(q):
             assert x ** n == _from_scratch(num ** abs(n), den ** abs(n))
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_gcd_of_higher_t_degree_matches_prs(q):
     """poly_gcd on operands of t-degree >= 2: equal operands, coprime
     pairs (decided at a point), planted common factors of positive
@@ -318,10 +373,7 @@ def test_gcd_of_higher_t_degree_matches_prs(q):
                   (c * G * A, G * B), (shared * A, shared * B)]
     for a, b in pairs:
         assert min(a.deg_t(), b.deg_t()) >= 2
-        want = _bivar_gcd(a, b)
-        for g in (poly_gcd(a, b), poly_gcd(b, a)):
-            assert g == want
-            assert g.lead()[1] == R.field.one
+        _assert_gcds_match_prs(a, b)
     assert poly_gcd(*pairs[0]) == shared.monic()
 
 

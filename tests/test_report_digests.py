@@ -47,6 +47,12 @@ base, and one inverse of det(E1, E_q) per precision in
 while each check still built its own table and each decomposition its
 own determinant and inverse.
 
+The ``properties`` rows at q = 5 and 9 pin fraction-heavy reports whose
+twist, Leibniz and structure-theorem checks normalize thousands of
+random fractions in F_q(theta, t); they were recorded while
+``poly_gcd`` still read its operands through ``Poly`` dicts in every
+branch, before it worked on theta-rows.
+
 Run as a script, this file prints the DIGESTS entry of each row named on
 the command line as q:suite or q:suite:N (PYTHONPATH=src).
 """
@@ -132,6 +138,8 @@ DIGESTS = {
         "bfba1f909677b623de16888af30ba3220625d5b7ca3e88739cf3f9125a7074c7",
     (5, "hecke-eigen", None):
         "7b7a1c3a47fc1a05f5e4cda7b3fe7769e89e9bddbc29c5428b9b92a064b518fc",
+    (5, "properties", None):
+        "befde657632b6fa1d6604309bbd5e9d347f1833c0b994d6cab0d26eca14ae25f",
     (8, "det", None):
         "a2ffd7b69ccc84d85f657f31c0c61e89d6b815cfe6f7eae4e22ad52c0d7e9258",
     (8, "generators", None):
@@ -152,6 +160,8 @@ DIGESTS = {
         "65b422334892ebcdcb6627fc625a2e987be1edc62a05d31ef45d04be87724da0",
     (9, "vadic", None):
         "ee2b5ce3b07dcc138cc19eadc1142f5d9f485871664b6175b369b94e0aff0c0a",
+    (9, "properties", None):
+        "0e29c558c2a3a2e6f158a05ca0797399cba3ffa8ac69a11ac0e31358b633143f",
     (16, "eisenstein-aexp", None):
         "1c03cb110d01c75a465aa35510bd4ba249290d099dbdae4539bd4f6915dcf734",
     (16, "generators", None):
